@@ -131,16 +131,27 @@ BENCHMARK(BM_DecodePqClusterPrefix)
     ->Arg(1600)
     ->Unit(benchmark::kMicrosecond);
 
-void BM_Crc32c(benchmark::State& state) {
+template <uint32_t (*Crc)(std::span<const uint8_t>, uint32_t) noexcept>
+void RunCrc(benchmark::State& state) {
   std::vector<uint8_t> data(static_cast<size_t>(state.range(0)));
   Xoshiro256 rng(3);
   for (auto& b : data) b = static_cast<uint8_t>(rng.Next());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(Crc32c(data));
+    benchmark::DoNotOptimize(Crc(data, 0));
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * data.size()));
 }
+
+// The dispatched path (labelled with the implementation this CPU runs) and
+// the table-driven reference side by side.
+void BM_Crc32c(benchmark::State& state) {
+  state.SetLabel(Crc32cImplementation());
+  RunCrc<&Crc32c>(state);
+}
 BENCHMARK(BM_Crc32c)->Arg(4096)->Arg(1 << 20);
+
+void BM_Crc32cPortable(benchmark::State& state) { RunCrc<&Crc32cPortable>(state); }
+BENCHMARK(BM_Crc32cPortable)->Arg(4096)->Arg(1 << 20);
 
 void BM_OverflowAreaDecode(benchmark::State& state) {
   const uint32_t dim = 128;

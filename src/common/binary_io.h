@@ -2,9 +2,13 @@
 // cluster-blob serializer and the remote-memory metadata block.
 //
 // Encoding is explicit (no struct memcpy of host layouts) so blobs are
-// portable and versionable.
+// portable and versionable. The u32/f32 array helpers are the one exception:
+// on a little-endian host the wire bytes already are the host layout, so they
+// move whole arrays with one bounds check and one memcpy; other hosts keep
+// the per-element loop.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -33,12 +37,8 @@ class BinaryWriter {
   void PutBytes(std::span<const uint8_t> bytes) {
     out_->insert(out_->end(), bytes.begin(), bytes.end());
   }
-  void PutF32Array(std::span<const float> values) {
-    for (float v : values) PutF32(v);
-  }
-  void PutU32Array(std::span<const uint32_t> values) {
-    for (uint32_t v : values) PutU32(v);
-  }
+  void PutF32Array(std::span<const float> values) { PutArray(values); }
+  void PutU32Array(std::span<const uint32_t> values) { PutArray(values); }
 
   /// Pads with zero bytes until the buffer size is a multiple of `alignment`.
   void AlignTo(size_t alignment) {
@@ -52,6 +52,17 @@ class BinaryWriter {
   void PutLE(T v) {
     for (size_t i = 0; i < sizeof(T); ++i) {
       out_->push_back(static_cast<uint8_t>(v >> (8 * i)));
+    }
+  }
+  /// 4-byte elements (u32 / f32).
+  template <typename T>
+  void PutArray(std::span<const T> values) {
+    static_assert(sizeof(T) == 4);
+    if constexpr (std::endian::native == std::endian::little) {
+      const auto* bytes = reinterpret_cast<const uint8_t*>(values.data());
+      out_->insert(out_->end(), bytes, bytes + values.size_bytes());
+    } else {
+      for (T v : values) PutLE(std::bit_cast<uint32_t>(v));
     }
   }
   std::vector<uint8_t>* out_;
@@ -72,7 +83,7 @@ class BinaryReader {
   Status GetU32(uint32_t* v) { return GetLE(v); }
   Status GetU64(uint64_t* v) { return GetLE(v); }
   Status GetI32(int32_t* v) {
-    uint32_t bits;
+    uint32_t bits = 0;
     DHNSW_RETURN_IF_ERROR(GetLE(&bits));
     *v = static_cast<int32_t>(bits);
     return Status::Ok();
@@ -89,16 +100,8 @@ class BinaryReader {
     pos_ += out.size();
     return Status::Ok();
   }
-  Status GetF32Array(std::span<float> out) {
-    if (remaining() < out.size() * 4) return Truncated("f32 array");
-    for (float& v : out) DHNSW_RETURN_IF_ERROR(GetF32(&v));
-    return Status::Ok();
-  }
-  Status GetU32Array(std::span<uint32_t> out) {
-    if (remaining() < out.size() * 4) return Truncated("u32 array");
-    for (uint32_t& v : out) DHNSW_RETURN_IF_ERROR(GetU32(&v));
-    return Status::Ok();
-  }
+  Status GetF32Array(std::span<float> out) { return GetArray(out, "f32 array"); }
+  Status GetU32Array(std::span<uint32_t> out) { return GetArray(out, "u32 array"); }
   Status Skip(size_t n) {
     if (remaining() < n) return Truncated("skip");
     pos_ += n;
@@ -119,6 +122,23 @@ class BinaryReader {
     }
     pos_ += sizeof(T);
     *v = out;
+    return Status::Ok();
+  }
+  /// 4-byte elements (u32 / f32); one bounds check for the whole array.
+  template <typename T>
+  Status GetArray(std::span<T> out, const char* what) {
+    static_assert(sizeof(T) == 4);
+    if (remaining() / 4 < out.size()) return Truncated(what);
+    if constexpr (std::endian::native == std::endian::little) {
+      if (!out.empty()) std::memcpy(out.data(), data_.data() + pos_, out.size_bytes());
+      pos_ += out.size_bytes();
+    } else {
+      for (T& v : out) {
+        uint32_t bits = 0;
+        DHNSW_RETURN_IF_ERROR(GetLE(&bits));
+        v = std::bit_cast<T>(bits);
+      }
+    }
     return Status::Ok();
   }
   Status Truncated(const char* what) {

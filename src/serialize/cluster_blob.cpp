@@ -48,11 +48,8 @@ Status DecodeHeader(BinaryReader* r, ClusterHeader* h) {
   DHNSW_RETURN_IF_ERROR(r->GetU64(&h->payload_size));
   DHNSW_RETURN_IF_ERROR(r->GetU32(&h->payload_crc));
   DHNSW_RETURN_IF_ERROR(r->GetU32(&h->ext_size));
-  if ((h->flags & ClusterHeader::kFlagHasExtensions) == 0 && h->ext_size != 0) {
-    return Status::Corruption("cluster blob: ext_size without extension flag");
-  }
-  if ((h->flags & ClusterHeader::kFlagHasExtensions) != 0 && h->ext_size == 0) {
-    return Status::Corruption("cluster blob: extension flag without sections");
+  if (((h->flags & ClusterHeader::kFlagHasExtensions) != 0) != (h->ext_size != 0)) {
+    return Status::Corruption("cluster blob: extension flag and ext_size disagree");
   }
   return r->Skip(ClusterHeader::kEncodedSize - (r->offset() - start));
 }
@@ -72,17 +69,13 @@ constexpr uint16_t kExtKindPqCodebook = 2;
 /// the absolute byte offset of the failure.
 Status ParseExtSections(std::span<const uint8_t> bytes, const ClusterHeader& h,
                         std::vector<ExtSection>* out) {
-  out->clear();
-  if (h.ext_size == 0) return Status::Ok();
   const size_t ext_end = ClusterHeader::kEncodedSize + h.ext_size;
   if (bytes.size() < ext_end) {
     return Status::Corruption("cluster blob: extension area truncated at offset " +
                               std::to_string(bytes.size()));
   }
   BinaryReader r(bytes.first(ext_end));
-  Status skip = r.Skip(ClusterHeader::kEncodedSize);
-  assert(skip.ok());
-  (void)skip;
+  DHNSW_RETURN_IF_ERROR(r.Skip(ClusterHeader::kEncodedSize));
   while (r.offset() < ext_end) {
     const size_t section_start = r.offset();
     ExtSection s;
@@ -92,16 +85,13 @@ Status ParseExtSections(std::span<const uint8_t> bytes, const ClusterHeader& h,
       return Status::Corruption("cluster blob: extension header truncated at offset " +
                                 std::to_string(section_start));
     }
-    if (r.remaining() < static_cast<size_t>(body_size) + 4) {
-      return Status::Corruption("cluster blob: extension body truncated at offset " +
-                                std::to_string(r.offset()));
-    }
-    s.body = bytes.subspan(r.offset(), body_size);
-    skip = r.Skip(body_size);
-    assert(skip.ok());
+    const size_t body_start = r.offset();
     uint32_t stored_crc = 0;
-    skip = r.GetU32(&stored_crc);
-    assert(skip.ok());
+    if (!r.Skip(body_size).ok() || !r.GetU32(&stored_crc).ok()) {
+      return Status::Corruption("cluster blob: extension body truncated at offset " +
+                                std::to_string(body_start));
+    }
+    s.body = bytes.subspan(body_start, body_size);
     if (Crc32c(s.body) != stored_crc) {
       return Status::Corruption("cluster blob: extension CRC mismatch at offset " +
                                 std::to_string(section_start));
@@ -109,6 +99,71 @@ Status ParseExtSections(std::span<const uint8_t> bytes, const ClusterHeader& h,
     out->push_back(s);
   }
   return Status::Ok();
+}
+
+/// Parses the graph prefix (ids, levels, adjacency) at the front of `payload`
+/// into the CSR fields of a fresh `g`; returns its size (payload_size minus
+/// the float rows). Both decoders share it, so both enforce Validate()'s rules.
+/// count and dim carry no CRC: they are bounded before anything is sized.
+Result<uint64_t> ParseGraphPrefix(std::span<const uint8_t> payload,
+                                  const ClusterHeader& h, PqCluster* g) {
+  const uint32_t count = h.count;
+  const uint64_t row_bytes = uint64_t{h.dim} * 4;
+  if (uint64_t{count} * 8 > h.payload_size ||
+      (count > 0 && row_bytes > (h.payload_size - uint64_t{count} * 8) / count)) {
+    return Status::Corruption("cluster blob: node count exceeds payload");
+  }
+  const uint64_t graph_size = h.payload_size - row_bytes * count;
+  if (payload.size() < graph_size) {
+    return Status::Corruption("cluster blob: graph prefix truncated");
+  }
+  BinaryReader r(payload.first(graph_size));
+  g->global_ids.resize(count);
+  DHNSW_RETURN_IF_ERROR(r.GetU32Array(g->global_ids));
+  g->levels.resize(count);
+  DHNSW_RETURN_IF_ERROR(r.GetU32Array(g->levels));
+
+  // Each (node, layer) slot holds at least a 4-byte degree: bounds the levels.
+  uint64_t slots = 0;
+  for (uint32_t level : g->levels) {
+    slots += uint64_t{level} + 1;
+    if (level > h.max_level || slots * 4 > r.remaining()) {
+      return Status::Corruption("cluster blob: node level out of range");
+    }
+  }
+  // An entry point on max_level also proves some node reaches it.
+  if (count > 0 && (h.entry_point >= count || g->levels[h.entry_point] != h.max_level)) {
+    return Status::Corruption("cluster blob: entry point not on max_level");
+  }
+
+  g->span_index.resize(count);
+  g->span_offsets.reserve(slots + 1);
+  g->neighbor_ids.reserve((r.remaining() - slots * 4) / 4);
+  for (uint32_t id = 0; id < count; ++id) {
+    g->span_index[id] = static_cast<uint32_t>(g->span_offsets.size());
+    for (uint32_t layer = 0; layer <= g->levels[id]; ++layer) {
+      uint32_t degree = 0;
+      DHNSW_RETURN_IF_ERROR(r.GetU32(&degree));
+      if (degree > (layer == 0 ? 2 * h.m : h.m)) {
+        return Status::Corruption("cluster blob: degree cap exceeded");
+      }
+      const size_t start = g->neighbor_ids.size();
+      g->span_offsets.push_back(static_cast<uint32_t>(start));
+      g->neighbor_ids.resize(start + degree);
+      const auto nbs = std::span<uint32_t>(g->neighbor_ids).subspan(start, degree);
+      DHNSW_RETURN_IF_ERROR(r.GetU32Array(nbs));
+      for (uint32_t nb : nbs) {
+        if (nb >= count) return Status::Corruption("cluster blob: neighbor id out of range");
+        if (nb == id) return Status::Corruption("cluster blob: self loop");
+        if (g->levels[nb] < layer) return Status::Corruption("cluster blob: neighbor below layer");
+      }
+    }
+  }
+  g->span_offsets.push_back(static_cast<uint32_t>(g->neighbor_ids.size()));
+  if (!r.exhausted()) {
+    return Status::Corruption("cluster blob: trailing bytes after adjacency");
+  }
+  return graph_size;
 }
 
 }  // namespace
@@ -246,13 +301,11 @@ Result<Cluster> DecodeCluster(std::span<const uint8_t> bytes,
   BinaryReader r(bytes);
   ClusterHeader h;
   DHNSW_RETURN_IF_ERROR(DecodeHeader(&r, &h));
-  if (h.ext_size > 0) {
-    // Verify framing/CRCs but otherwise skip: raw decoding ignores PQ
-    // sections (the payload is unchanged by their presence).
-    std::vector<ExtSection> sections;
-    DHNSW_RETURN_IF_ERROR(ParseExtSections(bytes, h, &sections));
-    DHNSW_RETURN_IF_ERROR(r.Skip(h.ext_size));
-  }
+  // Verify extension framing/CRCs but otherwise skip: raw decoding ignores
+  // PQ sections (the payload is unchanged by their presence).
+  std::vector<ExtSection> sections;
+  DHNSW_RETURN_IF_ERROR(ParseExtSections(bytes, h, &sections));
+  DHNSW_RETURN_IF_ERROR(r.Skip(h.ext_size));
   if (r.remaining() < h.payload_size) {
     return Status::Corruption("cluster blob: payload truncated");
   }
@@ -262,37 +315,27 @@ Result<Cluster> DecodeCluster(std::span<const uint8_t> bytes,
     return Status::Corruption("cluster blob: payload CRC mismatch");
   }
 
-  const uint32_t count = h.count;
-  std::vector<uint32_t> global_ids(count);
-  DHNSW_RETURN_IF_ERROR(r.GetU32Array(global_ids));
-  std::vector<uint32_t> levels(count);
-  DHNSW_RETURN_IF_ERROR(r.GetU32Array(levels));
-
-  std::vector<std::vector<std::vector<uint32_t>>> links(count);
-  for (uint32_t id = 0; id < count; ++id) {
-    links[id].resize(levels[id] + 1);
-    for (uint32_t layer = 0; layer <= levels[id]; ++layer) {
-      uint32_t degree = 0;
-      DHNSW_RETURN_IF_ERROR(r.GetU32(&degree));
-      if (degree > 4 * std::max<uint32_t>(h.m, 1)) {
-        return Status::Corruption("cluster blob: implausible degree");
-      }
-      links[id][layer].resize(degree);
-      DHNSW_RETURN_IF_ERROR(r.GetU32Array(links[id][layer]));
+  PqCluster g;  // CSR graph only; rebuilt below into HnswIndex adjacency
+  DHNSW_ASSIGN_OR_RETURN(const uint64_t graph_size, ParseGraphPrefix(payload, h, &g));
+  std::vector<std::vector<std::vector<uint32_t>>> links(h.count);
+  for (uint32_t id = 0; id < h.count; ++id) {
+    for (uint32_t layer = 0; layer <= g.levels[id]; ++layer) {
+      const std::span<const uint32_t> nbs = g.neighbors(id, layer);
+      links[id].emplace_back(nbs.begin(), nbs.end());
     }
   }
-
-  std::vector<float> vectors(static_cast<size_t>(count) * h.dim);
-  DHNSW_RETURN_IF_ERROR(r.GetF32Array(vectors));
+  std::vector<float> vectors(static_cast<size_t>(h.count) * h.dim);
+  BinaryReader vr(payload.subspan(graph_size));
+  DHNSW_RETURN_IF_ERROR(vr.GetF32Array(vectors));
 
   HnswOptions options = options_template;
   options.M = h.m;
   options.metric = static_cast<Metric>(h.flags & 0x7);
   DHNSW_ASSIGN_OR_RETURN(
       HnswIndex index,
-      HnswIndex::FromRaw(h.dim, options, std::move(vectors), std::move(levels),
+      HnswIndex::FromRaw(h.dim, options, std::move(vectors), std::move(g.levels),
                          std::move(links), h.entry_point));
-  return Cluster(h.partition_id, std::move(index), std::move(global_ids));
+  return Cluster(h.partition_id, std::move(index), std::move(g.global_ids));
 }
 
 Result<std::optional<ProductQuantizer>> DecodeClusterCodebook(
@@ -327,86 +370,42 @@ Result<PqCluster> DecodePqCluster(std::span<const uint8_t> bytes) {
   }
 
   PqCluster pc;
+  BinaryReader br(codes_section->body);
+  uint16_t code_m = 0, reserved = 0;
+  uint32_t count = 0, graph_crc = 0;
+  DHNSW_RETURN_IF_ERROR(br.GetU16(&code_m));
+  DHNSW_RETURN_IF_ERROR(br.GetU16(&reserved));
+  DHNSW_RETURN_IF_ERROR(br.GetU32(&count));
+  DHNSW_RETURN_IF_ERROR(br.GetU64(&pc.vectors_offset));
+  DHNSW_RETURN_IF_ERROR(br.GetU32(&graph_crc));
+  if (code_m == 0 || count != h.count ||
+      br.remaining() != static_cast<size_t>(count) * code_m) {
+    return Status::Corruption("cluster blob: PQ codes section geometry mismatch");
+  }
+  const size_t graph_start = ClusterHeader::kEncodedSize + h.ext_size;
+  if (bytes.size() - graph_start < pc.vectors_offset) {
+    return Status::Corruption("cluster blob: PQ prefix truncated at offset " +
+                              std::to_string(bytes.size()));
+  }
+  const std::span<const uint8_t> graph = bytes.subspan(graph_start, pc.vectors_offset);
+  if (Crc32c(graph) != graph_crc) {
+    return Status::Corruption("cluster blob: PQ graph CRC mismatch at offset " +
+                              std::to_string(graph_start));
+  }
+  DHNSW_ASSIGN_OR_RETURN(const uint64_t graph_size, ParseGraphPrefix(graph, h, &pc));
+  if (graph_size != pc.vectors_offset) {
+    return Status::Corruption("cluster blob: PQ vectors_offset inconsistent");
+  }
   pc.partition_id = h.partition_id;
   pc.dim = h.dim;
   pc.count = h.count;
+  pc.m = code_m;
   pc.hnsw_m = h.m;
   pc.entry_point = h.entry_point;
   pc.max_level = h.max_level == kNoMaxLevel ? 0 : h.max_level;
   pc.metric = static_cast<Metric>(h.flags & 0x7);
-
-  {
-    BinaryReader br(codes_section->body);
-    uint16_t code_m = 0, reserved = 0;
-    uint32_t count = 0, graph_crc = 0;
-    DHNSW_RETURN_IF_ERROR(br.GetU16(&code_m));
-    DHNSW_RETURN_IF_ERROR(br.GetU16(&reserved));
-    DHNSW_RETURN_IF_ERROR(br.GetU32(&count));
-    DHNSW_RETURN_IF_ERROR(br.GetU64(&pc.vectors_offset));
-    DHNSW_RETURN_IF_ERROR(br.GetU32(&graph_crc));
-    if (code_m == 0 || count != h.count ||
-        br.remaining() != static_cast<size_t>(count) * code_m) {
-      return Status::Corruption("cluster blob: PQ codes section geometry mismatch");
-    }
-    if (pc.vectors_offset + static_cast<uint64_t>(h.count) * h.dim * 4 !=
-        h.payload_size) {
-      return Status::Corruption("cluster blob: PQ vectors_offset inconsistent");
-    }
-    pc.m = code_m;
-    pc.codes.resize(static_cast<size_t>(count) * code_m);
-    DHNSW_RETURN_IF_ERROR(br.GetBytes(pc.codes));
-
-    const size_t graph_start = ClusterHeader::kEncodedSize + h.ext_size;
-    if (bytes.size() < graph_start + pc.vectors_offset) {
-      return Status::Corruption("cluster blob: PQ prefix truncated at offset " +
-                                std::to_string(bytes.size()));
-    }
-    const std::span<const uint8_t> graph =
-        bytes.subspan(graph_start, pc.vectors_offset);
-    if (Crc32c(graph) != graph_crc) {
-      return Status::Corruption("cluster blob: PQ graph CRC mismatch at offset " +
-                                std::to_string(graph_start));
-    }
-
-    // Graph prefix: ids, levels, adjacency — same layout as the raw payload,
-    // decoded into flat CSR adjacency instead of an HnswIndex.
-    BinaryReader gr(graph);
-    pc.global_ids.resize(h.count);
-    DHNSW_RETURN_IF_ERROR(gr.GetU32Array(pc.global_ids));
-    pc.levels.resize(h.count);
-    DHNSW_RETURN_IF_ERROR(gr.GetU32Array(pc.levels));
-
-    pc.span_index.resize(h.count);
-    size_t slots = 0;
-    for (uint32_t id = 0; id < h.count; ++id) {
-      pc.span_index[id] = static_cast<uint32_t>(slots);
-      slots += pc.levels[id] + 1;
-    }
-    pc.span_offsets.reserve(slots + 1);
-    for (uint32_t id = 0; id < h.count; ++id) {
-      for (uint32_t layer = 0; layer <= pc.levels[id]; ++layer) {
-        uint32_t degree = 0;
-        DHNSW_RETURN_IF_ERROR(gr.GetU32(&degree));
-        if (degree > 4 * std::max<uint32_t>(h.m, 1)) {
-          return Status::Corruption("cluster blob: implausible degree");
-        }
-        pc.span_offsets.push_back(static_cast<uint32_t>(pc.neighbor_ids.size()));
-        const size_t start = pc.neighbor_ids.size();
-        pc.neighbor_ids.resize(start + degree);
-        DHNSW_RETURN_IF_ERROR(gr.GetU32Array(
-            std::span<uint32_t>(pc.neighbor_ids).subspan(start, degree)));
-        for (size_t i = start; i < pc.neighbor_ids.size(); ++i) {
-          if (pc.neighbor_ids[i] >= h.count) {
-            return Status::Corruption("cluster blob: PQ neighbor id out of range");
-          }
-        }
-      }
-    }
-    pc.span_offsets.push_back(static_cast<uint32_t>(pc.neighbor_ids.size()));
-    if (h.count > 0 && pc.entry_point >= h.count) {
-      return Status::Corruption("cluster blob: PQ entry point out of range");
-    }
-  }
+  pc.codes.resize(static_cast<size_t>(count) * code_m);
+  DHNSW_RETURN_IF_ERROR(br.GetBytes(pc.codes));
   return pc;
 }
 

@@ -104,7 +104,9 @@ struct ClusterSizePlan {
 };
 ClusterSizePlan PlanClusterSize(const Cluster& cluster, uint32_t code_m);
 
-/// Parses and CRC-verifies a blob. `bytes` may be longer than the blob
+/// Parses and CRC-verifies a blob, then checks the graph against
+/// HnswIndex::Validate()'s rules before building anything from it (the same
+/// parser DecodePqCluster uses). `bytes` may be longer than the blob
 /// (e.g. a read that also covered the overflow region); trailing bytes are
 /// ignored. HnswOptions besides M/metric come from `options_template`.
 Result<Cluster> DecodeCluster(std::span<const uint8_t> bytes,
@@ -123,7 +125,8 @@ Result<std::optional<ProductQuantizer>> DecodeClusterCodebook(
 /// trailing bytes are ignored. The graph prefix is validated against the
 /// codes section's graph_crc (the full-payload CRC can't be checked without
 /// the vectors). Fails kCorruption (with the byte offset) on truncation,
-/// CRC mismatch, or a blob without a codes section.
+/// CRC mismatch, or a blob without a codes section, and kCorruption on a
+/// graph that breaks HnswIndex::Validate()'s rules.
 Result<PqCluster> DecodePqCluster(std::span<const uint8_t> bytes);
 
 }  // namespace dhnsw

@@ -2,6 +2,7 @@
 // variants) that the main hnsw test leaves at their defaults.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
 
 #include "common/rng.h"
@@ -36,6 +37,10 @@ struct OptionCase {
   bool extend_candidates;
   bool keep_pruned;
 };
+
+// Without this gtest prints the raw bytes of the case, which include the
+// address of `name` and so change from build to build.
+void PrintTo(const OptionCase& oc, std::ostream* os) { *os << oc.name; }
 
 class HnswOptionSweep : public ::testing::TestWithParam<OptionCase> {};
 
