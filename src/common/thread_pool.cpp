@@ -34,8 +34,17 @@ std::future<void> ThreadPool::Submit(std::function<void()> task) {
 }
 
 void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
+  RunShards(n, fn, /*caller_joins=*/false);
+}
+
+void ThreadPool::ParallelForWithCaller(size_t n, const std::function<void(size_t)>& fn) {
+  RunShards(n, fn, /*caller_joins=*/true);
+}
+
+void ThreadPool::RunShards(size_t n, const std::function<void(size_t)>& fn,
+                           bool caller_joins) {
   if (n == 0) return;
-  if (n == 1 || workers_.size() == 1) {
+  if (n == 1 || (workers_.size() == 1 && !caller_joins)) {
     for (size_t i = 0; i < n; ++i) fn(i);  // a throw propagates directly
     return;
   }
@@ -43,26 +52,26 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
   std::atomic<bool> failed{false};
   std::exception_ptr first_error;
   std::mutex error_mutex;
-  std::vector<std::future<void>> futures;
-  const size_t shards = std::min(n, workers_.size());
-  futures.reserve(shards);
-  for (size_t s = 0; s < shards; ++s) {
-    futures.push_back(Submit([&] {
-      for (size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
-        if (failed.load(std::memory_order_relaxed)) return;
-        try {
-          fn(i);
-        } catch (...) {
-          {
-            std::lock_guard<std::mutex> lock(error_mutex);
-            if (first_error == nullptr) first_error = std::current_exception();
-          }
-          failed.store(true, std::memory_order_relaxed);
-          return;
+  auto shard = [&] {
+    for (size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
+      if (failed.load(std::memory_order_relaxed)) return;
+      try {
+        fn(i);
+      } catch (...) {
+        {
+          std::lock_guard<std::mutex> lock(error_mutex);
+          if (first_error == nullptr) first_error = std::current_exception();
         }
+        failed.store(true, std::memory_order_relaxed);
+        return;
       }
-    }));
-  }
+    }
+  };
+  std::vector<std::future<void>> futures;
+  const size_t shards = std::min(caller_joins ? n - 1 : n, workers_.size());
+  futures.reserve(shards);
+  for (size_t s = 0; s < shards; ++s) futures.push_back(Submit(shard));
+  if (caller_joins) shard();
   // Drain EVERY shard before unwinding: the shard lambdas reference this
   // frame's locals (next/failed/fn), so returning — or rethrowing — while a
   // shard still runs would leave workers touching a dead stack. The old

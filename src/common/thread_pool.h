@@ -47,6 +47,11 @@ class ThreadPool {
   /// instead of hanging or silently dropping the partition.
   void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
 
+  /// ParallelFor in which the calling thread runs iterations too, next to
+  /// the workers, instead of blocking idle: a pool of N - 1 workers keeps N
+  /// cores busy. Same exception contract as ParallelFor.
+  void ParallelForWithCaller(size_t n, const std::function<void(size_t)>& fn);
+
   /// Chunked variant for cheap per-element bodies: runs `fn(begin, end)`
   /// over consecutive ranges of at most `grain` elements. Chunk boundaries
   /// depend only on `grain` — never on the worker count — so reductions
@@ -58,6 +63,7 @@ class ThreadPool {
 
  private:
   void WorkerLoop();
+  void RunShards(size_t n, const std::function<void(size_t)>& fn, bool caller_joins);
 
   std::vector<std::thread> workers_;
   std::queue<std::packaged_task<void()>> tasks_;

@@ -5,6 +5,7 @@
 #include <cassert>
 #include <cmath>
 #include <cstring>
+#include <thread>
 
 #include "common/thread_pool.h"
 #include "common/timer.h"
@@ -674,12 +675,29 @@ Status ComputeNode::LoadClusters(std::span<const uint32_t> ids,
   return FinalizeLoads(&state, *out, breakdown, failed);
 }
 
+size_t ComputeNode::resolved_search_threads() const noexcept {
+  if (options_.search_threads > 0) return options_.search_threads;
+  return std::max<size_t>(std::thread::hardware_concurrency(), 1);
+}
+
 ThreadPool* ComputeNode::SearchPool() {
-  const size_t want = std::max<size_t>(options_.search_threads, 1);
+  const size_t want = std::max<size_t>(resolved_search_threads() - 1, 1);
   if (search_pool_ == nullptr || search_pool_->num_threads() != want) {
     search_pool_ = std::make_unique<ThreadPool>(want);
   }
   return search_pool_.get();
+}
+
+void ComputeNode::RunChunked(size_t n, size_t grain,
+                             const std::function<void(size_t, size_t, bool)>& fn) {
+  if (n == 0) return;
+  if (n <= grain || resolved_search_threads() == 1) {
+    fn(0, n, true);
+    return;
+  }
+  SearchPool()->ParallelForWithCaller((n + grain - 1) / grain, [&](size_t c) {
+    fn(c * grain, std::min(n, (c + 1) * grain), false);
+  });
 }
 
 ThreadPool* ComputeNode::PrefetchPool() {
@@ -923,13 +941,24 @@ void ComputeNode::RunRerank(const VectorSet& queries, std::vector<RerankTask>& t
   }
 }
 
+void ComputeNode::SearchLoaded(const LoadedCluster& cluster, std::span<const float> q,
+                               size_t k, uint32_t ef, std::vector<Scored>* rerank_cands,
+                               TopKHeap* heap) const {
+  const Metric metric = options_.sub_hnsw_template.metric;
+  if (options_.payload == PayloadMode::kRaw) {
+    cluster.Search(q, k, ef, metric, options_.sub_search, heap);
+  } else {
+    cluster.SearchPq(q, k, ef, metric, options_.sub_search,
+                     rerank_cands == nullptr ? 0 : options_.rerank_depth, rerank_cands, heap);
+  }
+}
+
 Status ComputeNode::NaiveSearch(const VectorSet& queries, size_t begin, size_t count,
                                 size_t k, uint32_t ef_search,
                                 const std::vector<std::vector<uint32_t>>& routes,
                                 BatchResult* result) {
   // Baseline (1): no dedup, no cache, no doorbell — one READ round trip per
   // (query, cluster) pair, exactly as described in the paper's §4.
-  const Metric metric = options_.sub_hnsw_template.metric;
   for (size_t i = 0; i < count; ++i) {
     TopKHeap heap(k);
     for (uint32_t cluster : routes[i]) {
@@ -948,26 +977,11 @@ Status ComputeNode::NaiveSearch(const VectorSet& queries, size_t begin, size_t c
       WallTimer sub_timer;
       const LoadedClusterPtr& resident = loaded.front().second;
       std::vector<RerankTask> tasks;
-      switch (options_.payload) {
-        case PayloadMode::kRaw:
-          resident->Search(queries[begin + i], k, ef_search, metric,
-                           options_.sub_search, &heap);
-          break;
-        case PayloadMode::kPq:
-          resident->SearchPq(queries[begin + i], k, ef_search, metric,
-                             options_.sub_search, 0, nullptr, &heap);
-          break;
-        case PayloadMode::kPqRerank:
-          tasks.emplace_back();
-          tasks.back().cluster = cluster;
-          tasks.back().loaded = resident.get();
-          tasks.back().query_row = begin + i;
-          tasks.back().heap = 0;
-          resident->SearchPq(queries[begin + i], k, ef_search, metric,
-                             options_.sub_search, options_.rerank_depth,
-                             &tasks.back().cands, &heap);
-          break;
+      if (options_.payload == PayloadMode::kPqRerank) {
+        tasks.push_back({cluster, resident.get(), begin + i, 0, {}});
       }
+      SearchLoaded(*resident, queries[begin + i], k, ef_search,
+                   tasks.empty() ? nullptr : &tasks[0].cands, &heap);
       result->breakdown.sub_us += sub_timer.elapsed_us();
       if (!tasks.empty()) {
         RunRerank(queries, tasks, std::span<TopKHeap>(&heap, 1),
@@ -989,6 +1003,7 @@ Result<BatchResult> ComputeNode::SearchBatch(const VectorSet& queries, size_t be
     return Status::InvalidArgument("SearchBatch: query dim mismatch");
   }
 
+  if (count == 1) search_pool_.reset();  // idle workers pin malloc arenas (DESIGN.md §10)
   BatchResult result;
   result.results.resize(count);
   result.statuses.assign(count, Status::Ok());
@@ -1016,19 +1031,28 @@ Result<BatchResult> ComputeNode::SearchBatch(const VectorSet& queries, size_t be
   }
 
   // --- meta-HNSW routing (the "cache computation" column of Tables 1-2) ---
+  // Fixed chunks of queries on the search pool, into route slots sized here:
+  // workers allocate nothing, so no memory is left in their malloc arenas.
   WallTimer meta_timer;
+  const uint32_t b = std::max<uint32_t>(options_.clusters_per_query, 1);
   std::vector<std::vector<Scored>> routes_scored(count);
   std::vector<std::vector<uint32_t>> routes(count);
-  const uint32_t b = std::max<uint32_t>(options_.clusters_per_query, 1);
+  for (size_t i = 0; i < count; ++i) {
+    routes_scored[i].reserve(b);
+    routes[i].reserve(b);
+  }
   {
     telemetry::TraceScope meta_scope(trace_ctx_, "stage.meta");
     meta_scope.set_args(count, b);
-    for (size_t i = 0; i < count; ++i) {
-      telemetry::TraceScope query_scope(trace_ctx_, "query.meta", static_cast<uint32_t>(i));
-      routes_scored[i] = meta_->RouteManyScored(queries[begin + i], b);
-      routes[i].reserve(routes_scored[i].size());
-      for (const Scored& s : routes_scored[i]) routes[i].push_back(s.id);
-    }
+    constexpr size_t kRouteChunk = 32;
+    RunChunked(count, kRouteChunk, [&](size_t first, size_t last, bool on_owner) {
+      for (size_t i = first; i < last; ++i) {
+        std::optional<telemetry::TraceScope> query_scope;
+        if (on_owner) query_scope.emplace(trace_ctx_, "query.meta", static_cast<uint32_t>(i));
+        meta_->RouteManyScored(queries[begin + i], b, &routes_scored[i]);
+        for (const Scored& s : routes_scored[i]) routes[i].push_back(s.id);
+      }
+    });
     result.breakdown.meta_us = meta_timer.elapsed_us();
   }
 
@@ -1070,7 +1094,7 @@ Result<BatchResult> ComputeNode::SearchBatch(const VectorSet& queries, size_t be
     // so prune when (dist(q,rep) - radius) > factor * kth_best. Non-L2
     // metrics lack the triangle inequality; fall back to comparing raw
     // representative scores.
-    auto prunable = [&](const WorkItem& item, const std::vector<TopKHeap>& heaps) {
+    auto prunable = [&](const WorkItem& item) {
       if (prune <= 0.0) return false;
       const TopKHeap& heap = heaps[item.query_index];
       if (!heap.full()) return false;
@@ -1104,7 +1128,7 @@ Result<BatchResult> ComputeNode::SearchBatch(const VectorSet& queries, size_t be
       if (prune <= 0.0) return nullptr;
       load_wanted.assign(table_.size(), 0);
       for (const WorkItem& item : wave.work) {
-        if (!prunable(item, heaps)) load_wanted[item.cluster] = 1;
+        if (!prunable(item)) load_wanted[item.cluster] = 1;
       }
       return &load_wanted;
     };
@@ -1176,7 +1200,7 @@ Result<BatchResult> ComputeNode::SearchBatch(const VectorSet& queries, size_t be
         if (wave_probed_[item.cluster] != 0) continue;
         // Pruned items never touched the cache before; keep it that way
         // (prunable is monotone, so an item pruned now stays pruned).
-        if (prune > 0.0 && prunable(item, heaps)) continue;
+        if (prune > 0.0 && prunable(item)) continue;
         wave_probed_[item.cluster] = 1;
         if (failed_cluster(item.cluster)) continue;
         LoadedClusterPtr* hit = cache_.Get(item.cluster);
@@ -1187,77 +1211,52 @@ Result<BatchResult> ComputeNode::SearchBatch(const VectorSet& queries, size_t be
       telemetry::TraceScope sub_scope(trace_ctx_, "stage.sub");
       sub_scope.set_args(wave.work.size());
       std::atomic<uint64_t> pruned_searches{0};
-      const PayloadMode payload = options_.payload;
+      std::atomic<bool> not_resident{false};
       // kPqRerank: per-work-item ADC survivor lists, filled by the searches
-      // (possibly on pool threads) and drained by the owner-thread re-rank.
-      std::vector<std::vector<Scored>> item_cands;
-      if (payload == PayloadMode::kPqRerank) item_cands.resize(wave.work.size());
-      auto search_one = [&](size_t w, const WorkItem& item,
-                            const LoadedCluster* cluster) {
-        const std::span<const float> q = queries[begin + item.query_index];
-        TopKHeap* heap = &heaps[item.query_index];
-        switch (payload) {
-          case PayloadMode::kRaw:
-            cluster->Search(q, k, ef_search, metric, options_.sub_search, heap);
-            break;
-          case PayloadMode::kPq:
-            cluster->SearchPq(q, k, ef_search, metric, options_.sub_search, 0,
-                              nullptr, heap);
-            break;
-          case PayloadMode::kPqRerank:
-            cluster->SearchPq(q, k, ef_search, metric, options_.sub_search,
-                              options_.rerank_depth, &item_cands[w], heap);
-            break;
+      // on pool threads, drained by the owner-thread re-rank, and reserved
+      // here so that the workers never allocate.
+      std::vector<std::vector<Scored>> item_cands(
+          options_.payload == PayloadMode::kPqRerank ? wave.work.size() : 0);
+      for (auto& cands : item_cands) cands.reserve(std::max<size_t>(k, options_.rerank_depth));
+      // Work items are grouped by query. Each group runs on one thread in
+      // work-item order, so every heap has a single writer and fills exactly
+      // as it would on one thread. `starts` ends with a sentinel.
+      std::vector<size_t> starts;
+      for (size_t w = 0; w < wave.work.size(); ++w) {
+        if (w == 0 || wave.work[w].query_index != wave.work[w - 1].query_index) {
+          starts.push_back(w);
         }
-      };
-      if (options_.search_threads > 1) {
-        // Work items are grouped by query, so parallelizing over disjoint
-        // query ranges keeps each heap single-owner. The trace buffer is
-        // single-writer, so only wave-level spans are recorded here;
-        // per-work-item "query.sub" spans exist in the sequential path.
-        // The pool is node-owned and persistent: constructing one per wave
-        // spent a thread create/join cycle on every wave, a fixed cost that
-        // dwarfed small waves and made search_threads > 1 slower than 1.
-        std::vector<size_t> starts;
-        for (size_t w = 0; w < wave.work.size(); ++w) {
-          if (w == 0 || wave.work[w].query_index != wave.work[w - 1].query_index) {
-            starts.push_back(w);
-          }
-        }
-        SearchPool()->ParallelFor(starts.size(), [&](size_t s) {
-          const size_t first = starts[s];
-          const size_t last = s + 1 < starts.size() ? starts[s + 1] : wave.work.size();
-          for (size_t w = first; w < last; ++w) {
+      }
+      starts.push_back(wave.work.size());
+      RunChunked(starts.size() - 1, 1, [&](size_t first, size_t last, bool on_owner) {
+        for (size_t s = first; s < last; ++s) {
+          for (size_t w = starts[s]; w < starts[s + 1]; ++w) {
+            if (not_resident.load()) return;
             const WorkItem& item = wave.work[w];
-            if (prunable(item, heaps)) {
+            if (prunable(item)) {
               pruned_searches.fetch_add(1, std::memory_order_relaxed);
               continue;
             }
             if (failed_cluster(item.cluster)) continue;  // degraded, status set above
             const LoadedCluster* cluster = wave_resident_[item.cluster];
-            if (cluster != nullptr) {
-              Compute().sub_searches->Add(1);
-              search_one(w, item, cluster);
+            if (cluster == nullptr) {
+              not_resident.store(true);
+              return;
             }
+            std::optional<telemetry::TraceScope> item_scope;
+            if (on_owner) {
+              item_scope.emplace(trace_ctx_, "query.sub",
+                                 static_cast<uint32_t>(item.query_index));
+              item_scope->set_args(item.cluster);
+            }
+            Compute().sub_searches->Add(1);
+            SearchLoaded(*cluster, queries[begin + item.query_index], k, ef_search,
+                         item_cands.empty() ? nullptr : &item_cands[w],
+                         &heaps[item.query_index]);
           }
-        });
-      } else {
-        for (size_t w = 0; w < wave.work.size(); ++w) {
-          const WorkItem& item = wave.work[w];
-          if (prunable(item, heaps)) {
-            pruned_searches.fetch_add(1, std::memory_order_relaxed);
-            continue;
-          }
-          if (failed_cluster(item.cluster)) continue;  // degraded, status set above
-          const LoadedCluster* cluster = wave_resident_[item.cluster];
-          if (cluster == nullptr) return Status::Internal("wave cluster not resident");
-          telemetry::TraceScope item_scope(trace_ctx_, "query.sub",
-                                           static_cast<uint32_t>(item.query_index));
-          item_scope.set_args(item.cluster);
-          Compute().sub_searches->Add(1);
-          search_one(w, item, cluster);
         }
-      }
+      });
+      if (not_resident.load()) return Status::Internal("wave cluster not resident");
       result.breakdown.pruned_searches += pruned_searches.load();
       result.breakdown.sub_us += sub_timer.elapsed_us();
       sub_scope.Close();
@@ -1266,17 +1265,14 @@ Result<BatchResult> ComputeNode::SearchBatch(const VectorSet& queries, size_t be
       // after every sub-search finished (its READs must not interleave with
       // pool-thread work); `fresh`'s shared_ptrs and the untouched cache keep
       // every `loaded` pointer alive until the heaps are updated.
-      if (payload == PayloadMode::kPqRerank) {
+      if (options_.payload == PayloadMode::kPqRerank) {
         std::vector<RerankTask> tasks;
         for (size_t w = 0; w < wave.work.size(); ++w) {
           if (item_cands[w].empty()) continue;
           const WorkItem& item = wave.work[w];
-          tasks.emplace_back();
-          tasks.back().cluster = item.cluster;
-          tasks.back().loaded = wave_resident_[item.cluster];
-          tasks.back().query_row = begin + item.query_index;
-          tasks.back().heap = item.query_index;
-          tasks.back().cands = std::move(item_cands[w]);
+          tasks.push_back({item.cluster, wave_resident_[item.cluster],
+                           begin + item.query_index, item.query_index,
+                           std::move(item_cands[w])});
         }
         RunRerank(queries, tasks, heaps, &result.breakdown);
       }
@@ -1284,7 +1280,10 @@ Result<BatchResult> ComputeNode::SearchBatch(const VectorSet& queries, size_t be
 
     {
       telemetry::TraceScope finalize_scope(trace_ctx_, "stage.finalize");
-      for (size_t i = 0; i < count; ++i) result.results[i] = heaps[i].TakeSorted();
+      constexpr size_t kMergeChunk = 256;  // TakeSorted moves, never allocates
+      RunChunked(count, kMergeChunk, [&](size_t first, size_t last, bool) {
+        for (size_t i = first; i < last; ++i) result.results[i] = heaps[i].TakeSorted();
+      });
     }
   }
 

@@ -66,7 +66,10 @@ struct ComputeOptions {
   uint32_t cache_capacity = 8;      ///< c: clusters the DRAM cache holds
   uint32_t doorbell_batch = 16;     ///< D: max READ WRs coalesced per ring
   uint32_t ef_meta = 32;            ///< ef for meta-HNSW routing
-  size_t search_threads = 1;        ///< intra-instance search parallelism
+  /// Intra-instance search parallelism: meta routing, sub-searches and the
+  /// final merge of a batch run on this many threads (DESIGN.md §10). 0 means
+  /// one per hardware thread. Results are identical for every value.
+  size_t search_threads = 0;
   /// Pipelined wave execution (DESIGN.md §10): 0/1 runs waves sequentially
   /// (load wave N, then search it — the seed behaviour); >= 2 double-buffers
   /// the executor — while wave N's sub-searches run, wave N+1's deduped
@@ -263,6 +266,13 @@ class ComputeNode {
   const rdma::QpStats& qp_stats() const noexcept { return qp_.stats(); }
   const SimClock& clock() const noexcept { return clock_; }
   size_t cache_size() const noexcept { return cache_.size(); }
+  /// options().search_threads with 0 resolved to the hardware thread count.
+  size_t resolved_search_threads() const noexcept;
+  /// Test hook: workers of the search pool (the calling thread is one more
+  /// searcher), 0 while the pool has never been built.
+  size_t search_pool_threads() const noexcept {
+    return search_pool_ == nullptr ? 0 : search_pool_->num_threads();
+  }
   /// Test hook: whether `cluster` is resident in the LRU cache (no LRU touch).
   bool IsCached(uint32_t cluster) const noexcept { return cache_.Contains(cluster); }
   uint64_t cache_hits() const noexcept { return cache_.hits(); }
@@ -299,6 +309,11 @@ class ComputeNode {
                   std::vector<Scored>* rerank_cands, TopKHeap* out) const;
   };
   using LoadedClusterPtr = std::shared_ptr<const LoadedCluster>;
+
+  /// One (query, cluster) sub-search under options_.payload. `rerank_cands`
+  /// is non-null exactly under kPqRerank and receives the ADC survivors.
+  void SearchLoaded(const LoadedCluster& cluster, std::span<const float> q, size_t k,
+                    uint32_t ef, std::vector<Scored>* rerank_cands, TopKHeap* heap) const;
 
   /// Reads one cluster (blob + used overflow) into a fresh buffer and posts
   /// nothing — the caller controls doorbell grouping via `qp_.PostRead`.
@@ -419,12 +434,22 @@ class ComputeNode {
   /// will never be consumed, keeping the QP/CQ consistent for the next batch.
   void AbandonPrefetch(WaveLoadState* wave_load);
 
-  /// Persistent worker pools (lazily built; the search pool is rebuilt when
-  /// options_.search_threads changes). Constructing a ThreadPool per wave
-  /// cost ~50-100us of thread spawn/join per wave — a latency cliff for
-  /// search_threads > 1 on small waves; these amortize it to once per node.
+  /// Persistent worker pools (lazily built; the search pool holds resolved -
+  /// 1 workers, the batch's own thread being the last searcher, and is
+  /// rebuilt when that count changes). Constructing a ThreadPool per
+  /// wave cost ~50-100us of thread spawn/join per wave — a latency cliff on
+  /// small waves; these amortize it to once per node.
   ThreadPool* SearchPool();
   ThreadPool* PrefetchPool();
+
+  /// The one executor of a batch's parallel stages: runs fn(first, last,
+  /// on_owner) over [0, n) in chunks of at most `grain`. One chunk, or one
+  /// search thread, runs inline on the calling thread (on_owner = true)
+  /// without building or waking the pool; otherwise the calling thread and
+  /// the SearchPool() workers share the chunks. Only an on_owner body may
+  /// record trace spans: the trace buffer is single-writer.
+  void RunChunked(size_t n, size_t grain,
+                  const std::function<void(size_t, size_t, bool)>& fn);
 
   /// Runs `fn` (returning Status) under options_.retry: transient errors are
   /// retried with backoff charged to the clock; the last error is returned

@@ -293,8 +293,14 @@ std::vector<uint32_t> MetaHnsw::RouteMany(std::span<const float> v, uint32_t b) 
 }
 
 std::vector<Scored> MetaHnsw::RouteManyScored(std::span<const float> v, uint32_t b) const {
-  const uint32_t ef = std::max(ef_route_, b);
-  return index_.Search(v, b, ef);
+  std::vector<Scored> out;
+  RouteManyScored(v, b, &out);
+  return out;
+}
+
+void MetaHnsw::RouteManyScored(std::span<const float> v, uint32_t b,
+                               std::vector<Scored>* out) const {
+  index_.Search(v, b, std::max(ef_route_, b), out);
 }
 
 }  // namespace dhnsw

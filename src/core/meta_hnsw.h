@@ -82,6 +82,9 @@ class MetaHnsw {
   /// Like RouteMany, but keeps the representative distances (id = partition,
   /// distance = dist(v, representative)). Used by adaptive cluster pruning.
   std::vector<Scored> RouteManyScored(std::span<const float> v, uint32_t b) const;
+  /// Allocation-free form: the routes replace `out`'s contents, reusing its
+  /// capacity (a caller that reserved `b` entries allocates nothing).
+  void RouteManyScored(std::span<const float> v, uint32_t b, std::vector<Scored>* out) const;
 
   /// Shared PQ codebook trained on build residuals (vector minus owning
   /// representative). Serialized into the meta blob as an extension section,

@@ -70,8 +70,7 @@ uint32_t HnswIndex::AddWithLevel(std::span<const float> v, uint32_t level) {
     return id;
   }
 
-  ScratchLease lease(scratch_pool_);
-  SearchScratch& s = *lease;
+  SearchScratch& s = ThreadScratch();
   s.EnsureBatchCapacity(2 * options_.M + 2);
 
   const float* base = RowPtr(id);
@@ -178,8 +177,7 @@ uint32_t HnswIndex::AddBatchParallel(std::span<const float> rows, size_t count,
   std::mutex top_mutex;
   pool->ParallelFor(count - start, [&](size_t t) {
     const uint32_t id = first_id + static_cast<uint32_t>(start + t);
-    ScratchLease lease(scratch_pool_);
-    SearchScratch& s = *lease;
+    SearchScratch& s = ThreadScratch();
     s.EnsureBatchCapacity(2 * options_.M + 2);
     InsertLinkedSync(id, levels_[id], s, locks, top_mutex);
   });
@@ -476,8 +474,7 @@ void HnswIndex::Search(std::span<const float> query, size_t k, uint32_t ef,
   if (empty() || k == 0) return;
   ef = std::max<uint32_t>(ef, static_cast<uint32_t>(k));
 
-  ScratchLease lease(scratch_pool_);
-  SearchScratch& s = *lease;
+  SearchScratch& s = ThreadScratch();
   s.EnsureBatchCapacity(2 * options_.M + 2);
 
   uint32_t current = entry_point_;

@@ -14,7 +14,7 @@
 // Hot path: all distance evaluations go through the startup-dispatched SIMD
 // kernel table (index/distance.h), neighbor lists are scored with the batched
 // one-to-many kernel (dispatch hoisted out of every loop), and each search
-// leases a pooled SearchScratch (epoch-stamped visited list + reusable
+// works in its thread's SearchScratch (epoch-stamped visited list + reusable
 // heaps), so a steady-state Search performs no heap allocations.
 //
 // Concurrency: `Search` is const and safe to call from many threads
@@ -27,6 +27,7 @@
 #pragma once
 
 #include <cstdint>
+#include <mutex>
 #include <optional>
 #include <span>
 #include <vector>
@@ -97,7 +98,7 @@ class HnswIndex {
   std::vector<Scored> Search(std::span<const float> query, size_t k, uint32_t ef) const;
 
   /// Allocation-free form: results replace `out`'s contents, reusing its
-  /// capacity. After the first few queries warmed the scratch pool and
+  /// capacity. After the first few queries warmed the thread's scratch and
   /// `out`, a call performs no heap allocations at all.
   void Search(std::span<const float> query, size_t k, uint32_t ef,
               std::vector<Scored>* out) const;
@@ -197,10 +198,6 @@ class HnswIndex {
 
   uint32_t entry_point_ = 0;
   int32_t max_level_ = -1;  ///< -1 while empty
-
-  /// Scratch pool for the allocation-free search path; grows to the peak
-  /// number of concurrent searches, then stops allocating.
-  mutable SearchScratchPool scratch_pool_;
 };
 
 }  // namespace dhnsw

@@ -1,12 +1,11 @@
 // Reusable per-search scratch state for the HNSW hot path: an epoch-stamped
 // visited list (O(1) reset instead of an O(n) allocation+memset per query)
-// and the candidate/result containers, pooled per index so a steady-state
+// and the candidate/result containers, one set per thread so a steady-state
 // Search performs no heap allocations at all.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <vector>
 
 #include "common/topk.h"
@@ -69,57 +68,14 @@ struct SearchScratch {
   }
 };
 
-/// Thread-safe freelist of SearchScratch. HnswIndex keeps one pool; each
-/// Search leases a scratch (creating one only when all are in flight, i.e.
-/// the pool grows to the peak concurrency and then stops allocating).
-///
-/// Copy/move intentionally transfer nothing: the pool is a cache, and a
-/// copied or moved index simply warms its own.
-class SearchScratchPool {
- public:
-  SearchScratchPool() = default;
-  SearchScratchPool(const SearchScratchPool&) noexcept {}
-  SearchScratchPool& operator=(const SearchScratchPool&) noexcept { return *this; }
-  SearchScratchPool(SearchScratchPool&&) noexcept {}
-  SearchScratchPool& operator=(SearchScratchPool&&) noexcept { return *this; }
-
-  std::unique_ptr<SearchScratch> Acquire() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (!free_.empty()) {
-        std::unique_ptr<SearchScratch> s = std::move(free_.back());
-        free_.pop_back();
-        return s;
-      }
-    }
-    return std::make_unique<SearchScratch>();
-  }
-
-  void Release(std::unique_ptr<SearchScratch> s) {
-    std::lock_guard<std::mutex> lock(mu_);
-    free_.push_back(std::move(s));
-  }
-
- private:
-  mutable std::mutex mu_;
-  std::vector<std::unique_ptr<SearchScratch>> free_;
-};
-
-/// RAII lease of a SearchScratch from a pool.
-class ScratchLease {
- public:
-  explicit ScratchLease(SearchScratchPool& pool)
-      : pool_(&pool), scratch_(pool_->Acquire()) {}
-  ~ScratchLease() { pool_->Release(std::move(scratch_)); }
-  ScratchLease(const ScratchLease&) = delete;
-  ScratchLease& operator=(const ScratchLease&) = delete;
-
-  SearchScratch& operator*() noexcept { return *scratch_; }
-  SearchScratch* operator->() noexcept { return scratch_.get(); }
-
- private:
-  SearchScratchPool* pool_;
-  std::unique_ptr<SearchScratch> scratch_;
-};
+/// The calling thread's scratch, shared by every index the thread searches.
+/// Sharing is safe because a search or insert never nests inside another on
+/// the same thread, and VisitedList::Reset grows the list to the largest
+/// index seen. Once warm on one index, a first search on another allocates
+/// nothing.
+inline SearchScratch& ThreadScratch() {
+  thread_local SearchScratch scratch;
+  return scratch;
+}
 
 }  // namespace dhnsw

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+#include <thread>
+
 #include "core/engine.h"
 #include "dataset/ground_truth.h"
 #include "dataset/synthetic.h"
+#include "telemetry/trace.h"
 
 namespace dhnsw {
 namespace {
@@ -317,6 +322,186 @@ TEST_F(ComputeNodeTest, OverflowCapacityExhaustionReportsCapacity) {
   EXPECT_GT(inserted, 0);
   EXPECT_LE(inserted, 3);
   EXPECT_EQ(last.code(), StatusCode::kCapacity);
+}
+
+// --- one executor: a batch on the search pool equals the same batch inline ---
+
+/// A PQ-enabled deployment on the simulated fabric, so raw, pq and pq+rerank
+/// payloads all run and every counter (network time included) is exact.
+class ParallelSearchTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    ds_ = new Dataset(MakeSynthetic({.dim = 16, .num_base = 3000, .num_queries = 64,
+                                     .num_clusters = 12, .seed = 63}));
+    DhnswConfig config = DhnswConfig::Defaults();
+    config.meta.num_representatives = 16;
+    config.sub_hnsw.M = 8;
+    config.sub_hnsw.ef_construction = 60;
+    config.pq.enabled = true;
+    config.pq.m = 4;
+    config.pq.train_iterations = 6;
+    config.transport = rdma::TransportOptions::Sim();
+    auto engine = DhnswEngine::Build(ds_->base, config);
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    engine_ = new DhnswEngine(std::move(engine).value());
+  }
+
+  static void TearDownTestSuite() {
+    delete engine_;
+    delete ds_;
+    engine_ = nullptr;
+    ds_ = nullptr;
+  }
+
+  static ComputeOptions Options(PayloadMode payload, uint32_t pipeline_depth) {
+    ComputeOptions options;
+    options.clusters_per_query = 3;
+    options.cache_capacity = 4;  // < unique clusters per batch: several waves
+    options.doorbell_batch = 4;
+    options.payload = payload;
+    options.pipeline_depth = pipeline_depth;
+    return options;
+  }
+
+  static std::unique_ptr<ComputeNode> Attach(const ComputeOptions& options) {
+    auto node = std::make_unique<ComputeNode>(&engine_->fabric(), engine_->memory_handle(),
+                                              options);
+    EXPECT_TRUE(node->Connect().ok());
+    return node;
+  }
+
+  /// Everything a batch leaves behind, minus wall-clock time.
+  struct Observed {
+    std::vector<BatchResult> batches;
+    std::vector<uint32_t> cached;
+    std::string trace;  ///< wall-free JSONL without the query.* spans
+    size_t query_spans = 0;
+  };
+
+  static Observed Run(const ComputeOptions& options) {
+    auto node = Attach(options);
+    node->EnableTracing(1 << 16);
+    Observed obs;
+    // Two overlapping batches: the second starts from the first's cache.
+    for (const auto& [begin, count] : {std::pair<size_t, size_t>{0, 40}, {24, 40}}) {
+      auto r = node->SearchBatch(ds_->queries, begin, count, 10, 48);
+      EXPECT_TRUE(r.ok()) << r.status().ToString();
+      if (r.ok()) obs.batches.push_back(std::move(r).value());
+    }
+    for (uint32_t c = 0; c < node->num_clusters(); ++c) {
+      if (node->IsCached(c)) obs.cached.push_back(c);
+    }
+    std::istringstream lines(telemetry::TraceToJsonl(node->trace(), {.include_wall = false}));
+    for (std::string line; std::getline(lines, line);) {
+      if (line.find("\"name\":\"query.") != std::string::npos) {
+        ++obs.query_spans;
+      } else {
+        obs.trace += line + "\n";
+      }
+    }
+    EXPECT_EQ(node->trace().dropped(), 0u);
+    return obs;
+  }
+
+  static void ExpectIdentical(const Observed& a, const Observed& b, const std::string& what) {
+    ASSERT_EQ(a.batches.size(), b.batches.size()) << what;
+    for (size_t i = 0; i < a.batches.size(); ++i) {
+      const BatchResult& x = a.batches[i];
+      const BatchResult& y = b.batches[i];
+      ASSERT_EQ(x.results.size(), y.results.size()) << what;
+      for (size_t q = 0; q < x.results.size(); ++q) {
+        ASSERT_EQ(x.results[q].size(), y.results[q].size()) << what << " query " << q;
+        for (size_t j = 0; j < x.results[q].size(); ++j) {
+          EXPECT_EQ(x.results[q][j].id, y.results[q][j].id) << what << " query " << q;
+          EXPECT_EQ(x.results[q][j].distance, y.results[q][j].distance) << what;
+        }
+        EXPECT_EQ(x.statuses[q].ToString(), y.statuses[q].ToString()) << what;
+      }
+      const BatchBreakdown& p = x.breakdown;
+      const BatchBreakdown& r = y.breakdown;
+      EXPECT_EQ(p.network_us, r.network_us) << what;  // simulated, not wall
+      EXPECT_EQ(p.round_trips, r.round_trips) << what;
+      EXPECT_EQ(p.bytes_read, r.bytes_read) << what;
+      EXPECT_EQ(p.clusters_loaded, r.clusters_loaded) << what;
+      EXPECT_EQ(p.cache_hits, r.cache_hits) << what;
+      EXPECT_EQ(p.pruned_searches, r.pruned_searches) << what;
+      EXPECT_EQ(p.pruned_loads, r.pruned_loads) << what;
+      EXPECT_EQ(p.retries, r.retries) << what;
+      EXPECT_EQ(p.failed_loads, r.failed_loads) << what;
+      EXPECT_EQ(p.backoff_ns, r.backoff_ns) << what;
+      EXPECT_EQ(p.failovers, r.failovers) << what;
+      EXPECT_EQ(p.rerank_candidates, r.rerank_candidates) << what;
+      EXPECT_EQ(p.rerank_reads, r.rerank_reads) << what;
+      EXPECT_EQ(p.rerank_bytes, r.rerank_bytes) << what;
+      EXPECT_EQ(p.rerank_fallbacks, r.rerank_fallbacks) << what;
+      EXPECT_EQ(p.num_queries, r.num_queries) << what;
+    }
+    EXPECT_EQ(a.cached, b.cached) << what;
+    EXPECT_EQ(a.trace, b.trace) << what;
+  }
+
+  static Dataset* ds_;
+  static DhnswEngine* engine_;
+};
+
+Dataset* ParallelSearchTest::ds_ = nullptr;
+DhnswEngine* ParallelSearchTest::engine_ = nullptr;
+
+TEST_F(ParallelSearchTest, PoolMatchesInlineBitForBit) {
+  for (PayloadMode payload : {PayloadMode::kRaw, PayloadMode::kPq, PayloadMode::kPqRerank}) {
+    for (uint32_t depth : {1u, 2u}) {
+      const std::string what =
+          std::string(PayloadModeName(payload)) + " depth " + std::to_string(depth);
+      ComputeOptions serial = Options(payload, depth);
+      serial.search_threads = 1;
+      const Observed inline_run = Run(serial);
+      ASSERT_EQ(inline_run.batches.size(), 2u) << what;
+      EXPECT_GT(inline_run.batches[0].breakdown.clusters_loaded, serial.cache_capacity)
+          << what << ": the batch must need several waves";
+      EXPECT_GT(inline_run.query_spans, 0u) << what;
+
+      // The default (one thread per hardware thread), and an explicit count
+      // so that the pool runs even on a one-core host.
+      for (size_t threads : {size_t{0}, size_t{3}}) {
+        ComputeOptions parallel = Options(payload, depth);
+        parallel.search_threads = threads;
+        const Observed pooled = Run(parallel);
+        ExpectIdentical(inline_run, pooled, what + " threads " + std::to_string(threads));
+        if (threads == 3) {
+          EXPECT_EQ(pooled.query_spans, 0u) << what << ": query.* spans are inline-only";
+        }
+      }
+    }
+  }
+}
+
+TEST_F(ParallelSearchTest, ZeroThreadsMeansOnePerHardwareThread) {
+  ComputeOptions options = Options(PayloadMode::kRaw, 2);
+  EXPECT_EQ(options.search_threads, 0u);
+  const size_t hardware = std::max<size_t>(std::thread::hardware_concurrency(), 1);
+  EXPECT_EQ(Attach(options)->resolved_search_threads(), hardware);
+  options.search_threads = 3;
+  EXPECT_EQ(Attach(options)->resolved_search_threads(), 3u);
+}
+
+TEST_F(ParallelSearchTest, SingleQueryBatchStartsNoSearchThread) {
+  ComputeOptions options = Options(PayloadMode::kRaw, 2);
+  options.search_threads = 3;  // would build a pool for any larger batch
+  auto node = Attach(options);
+  node->EnableTracing(1 << 12);
+  for (size_t q = 0; q < 8; ++q) {
+    auto r = node->SearchBatch(ds_->queries, q, 1, 10, 48);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+  }
+  EXPECT_EQ(node->search_pool_threads(), 0u);
+  // Inline batches keep their per-query spans.
+  const std::string trace = telemetry::TraceToJsonl(node->trace(), {.include_wall = false});
+  EXPECT_NE(trace.find("\"name\":\"query.meta\""), std::string::npos);
+  EXPECT_NE(trace.find("\"name\":\"query.sub\""), std::string::npos);
+
+  // A larger batch searches on three threads: the caller and two workers.
+  ASSERT_TRUE(node->SearchBatch(ds_->queries, 0, 16, 10, 48).ok());
+  EXPECT_EQ(node->search_pool_threads(), 2u);
 }
 
 }  // namespace

@@ -1,5 +1,7 @@
 // Proves the allocation-free search contract (index/hnsw.h): after warm-up,
-// HnswIndex::Search(query, k, ef, out) performs zero heap allocations.
+// HnswIndex::Search(query, k, ef, out) performs zero heap allocations — also
+// on an index the thread has never searched, because the scratch belongs to
+// the thread, not to the index.
 //
 // Mechanism: global operator new/delete are replaced with counting versions
 // (gtest and the index itself allocate freely outside the measured window;
@@ -54,7 +56,7 @@ TEST(SearchAllocTest, SteadyStateSearchDoesNotAllocate) {
 
   std::vector<float> query(kDim);
   std::vector<Scored> out;
-  // Warm-up: grows the scratch pool, the pooled containers, and `out`.
+  // Warm-up: grows the thread's scratch containers and `out`.
   for (int i = 0; i < 10; ++i) {
     for (float& x : query) x = static_cast<float>(rng.NextDouble());
     index.Search(query, 10, 50, &out);
@@ -103,7 +105,7 @@ TEST(SearchAllocTest, InstrumentedSearchDoesNotAllocate) {
 
   std::vector<float> query(kDim);
   std::vector<Scored> out;
-  for (int i = 0; i < 10; ++i) {  // warm-up (scratch pool + thread-local shard)
+  for (int i = 0; i < 10; ++i) {  // warm-up (thread scratch + thread-local shard)
     for (float& x : query) x = static_cast<float>(rng.NextDouble());
     telemetry::TraceScope span(ctx, "warmup");
     index.Search(query, 10, 50, &out);
@@ -131,6 +133,45 @@ TEST(SearchAllocTest, InstrumentedSearchDoesNotAllocate) {
       << (after - before) << " allocations in 100 instrumented searches";
   EXPECT_EQ(buffer.dropped(), 0u);
   EXPECT_EQ(searches->value(), 100u);
+}
+
+// A compute node decodes a fresh sub-HNSW for every cluster it loads. The
+// first search on such an index must not allocate either: the thread's
+// scratch, warmed on another index, serves it.
+TEST(SearchAllocTest, FirstSearchOnAnotherIndexDoesNotAllocate) {
+  constexpr uint32_t kDim = 32;
+  HnswOptions options;
+  options.M = 8;
+  options.ef_construction = 60;
+  auto build = [&](uint64_t seed, size_t count) {
+    HnswIndex index(kDim, options);
+    Xoshiro256 rng(seed);
+    std::vector<float> v(kDim);
+    for (size_t i = 0; i < count; ++i) {
+      for (float& x : v) x = static_cast<float>(rng.NextDouble());
+      index.Add(v);
+    }
+    return index;
+  };
+  const HnswIndex warm = build(0x5eed1u, 2000);
+  const HnswIndex fresh = build(0x5eed2u, 1500);
+
+  Xoshiro256 rng(0xf125u);
+  std::vector<float> query(kDim);
+  std::vector<Scored> out;
+  for (int i = 0; i < 10; ++i) {
+    for (float& x : query) x = static_cast<float>(rng.NextDouble());
+    warm.Search(query, 10, 100, &out);
+    ASSERT_FALSE(out.empty());
+  }
+
+  for (float& x : query) x = static_cast<float>(rng.NextDouble());
+  const uint64_t before = g_allocations.load();
+  fresh.Search(query, 10, 50, &out);
+  const uint64_t after = g_allocations.load();
+  EXPECT_EQ(out.size(), 10u);
+  EXPECT_EQ(after - before, 0u)
+      << (after - before) << " allocations in the first search on a second index";
 }
 
 TEST(SearchAllocTest, AllocatingOverloadStillWorks) {

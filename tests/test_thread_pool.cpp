@@ -4,9 +4,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -105,6 +107,50 @@ TEST(ThreadPoolTest, ParallelForSequentialPathPropagatesToo) {
     if (i == 3) throw std::runtime_error("boom");
   }),
                std::runtime_error);
+}
+
+TEST(ThreadPoolTest, ParallelForWithCallerCoversEveryIndexExactlyOnce) {
+  ThreadPool pool(3);
+  std::vector<std::atomic<int>> hits(1000);
+  pool.ParallelForWithCaller(1000, [&](size_t i) { hits[i].fetch_add(1); });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+// One worker plus the caller: the two iterations run at the same time, which
+// a caller that only waited could never do. The wait is bounded so that a
+// regression fails instead of hanging.
+TEST(ThreadPoolTest, ParallelForWithCallerRunsOnTheCallingThreadToo) {
+  ThreadPool pool(1);
+  std::atomic<int> entered{0};
+  std::atomic<bool> met{true};
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> on_caller{0};
+  pool.ParallelForWithCaller(2, [&](size_t) {
+    if (std::this_thread::get_id() == caller) on_caller.fetch_add(1);
+    entered.fetch_add(1);
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (entered.load() < 2) {
+      if (std::chrono::steady_clock::now() > deadline) {
+        met.store(false);
+        return;
+      }
+      std::this_thread::yield();
+    }
+  });
+  EXPECT_TRUE(met.load());
+  EXPECT_EQ(on_caller.load(), 1);
+}
+
+TEST(ThreadPoolTest, ParallelForWithCallerPropagatesTaskException) {
+  ThreadPool pool(2);
+  EXPECT_THROW(pool.ParallelForWithCaller(100,
+                                          [](size_t i) {
+                                            if (i == 41) throw std::runtime_error("boom");
+                                          }),
+               std::runtime_error);
+  std::atomic<int> after{0};
+  pool.ParallelForWithCaller(20, [&](size_t) { after.fetch_add(1); });
+  EXPECT_EQ(after.load(), 20);
 }
 
 TEST(ThreadPoolTest, ParallelForChunkedCoversEveryElementExactlyOnce) {
