@@ -18,46 +18,41 @@
 
 namespace {
 
-// One cell of the pipeline grid: fresh node (cold cache) per repetition,
+// One row of the threads sweep: fresh node (cold cache) per repetition,
 // best-of-reps wall latency for the full 2000-query batch.
-struct PipelinePoint {
+struct ThreadsPoint {
   double latency_us = 0;
   double throughput_qps = 0;
   double recall = 0;
-  double overlap_ms = 0;  ///< pipeline_overlap_ns from the best rep
 };
 
-PipelinePoint MeasurePipeline(dhnsw::DhnswEngine& engine, const dhnsw::Dataset& ds,
-                              const dhnsw::bench::BenchConfig& config,
-                              uint32_t pipeline_depth, size_t search_threads, int reps) {
-  PipelinePoint point;
+ThreadsPoint MeasureThreads(dhnsw::DhnswEngine& engine, const dhnsw::Dataset& ds,
+                            const dhnsw::bench::BenchConfig& config, size_t search_threads,
+                            int reps) {
+  ThreadsPoint point;
   double best_us = 0;
   for (int rep = 0; rep < reps; ++rep) {
     auto node = AttachComputeNode(engine, config, dhnsw::EngineMode::kFull);
-    node->mutable_options()->pipeline_depth = pipeline_depth;
     node->mutable_options()->search_threads = search_threads;
     dhnsw::WallTimer timer;
     auto result = node->SearchAll(ds.queries, 10, 32);
     const double us = timer.elapsed_us();
     if (!result.ok()) {
-      std::fprintf(stderr, "pipeline bench failed: %s\n",
+      std::fprintf(stderr, "threads bench failed: %s\n",
                    result.status().ToString().c_str());
       std::exit(1);
     }
     if (std::getenv("DHNSW_BENCH_DIAG") != nullptr) {
       const dhnsw::BatchBreakdown& b = result.value().breakdown;
       std::fprintf(stderr,
-                   "diag d=%u t=%zu wall=%.0fus net=%.0f meta=%.0f sub=%.0f deser=%.0f "
-                   "overlap=%.0fus loaded=%llu\n",
-                   pipeline_depth, search_threads, us, b.network_us, b.meta_us, b.sub_us,
-                   b.deserialize_us, b.pipeline_overlap_ns / 1e3,
+                   "diag t=%zu wall=%.0fus net=%.0f meta=%.0f sub=%.0f deser=%.0f "
+                   "loaded=%llu\n",
+                   search_threads, us, b.network_us, b.meta_us, b.sub_us, b.deserialize_us,
                    (unsigned long long)b.clusters_loaded);
     }
     if (rep == 0 || us < best_us) {
       best_us = us;
       point.recall = dhnsw::MeanRecallAtK(ds, result.value().results, 10);
-      point.overlap_ms =
-          static_cast<double>(result.value().breakdown.pipeline_overlap_ns) / 1e6;
     }
   }
   point.latency_us = best_us;
@@ -69,7 +64,7 @@ PipelinePoint MeasurePipeline(dhnsw::DhnswEngine& engine, const dhnsw::Dataset& 
 
 int main(int argc, char** argv) {
   using namespace dhnsw::bench;
-  // `--json=PATH` archives the pipeline grid; everything else goes to
+  // `--json=PATH` archives the threads sweep; everything else goes to
   // ParseFlags (which treats unknown keys as fatal).
   std::string json_path;
   std::vector<char*> args;
@@ -128,54 +123,32 @@ int main(int argc, char** argv) {
   }
   std::printf("\n# latency = slowest shard; throughput = batch size / latency.\n");
 
-  // ---- Pipelined wave execution: depth x threads grid on one instance ----
-  // depth=1 is the blocking seed path; depth=2 posts each wave's READs while
-  // the previous wave's sub-searches run. The threads=1 vs threads=4 rows at
-  // depth=1 also document the persistent-pool fix: per-wave pool construction
-  // used to make multi-threaded search SLOWER than single-threaded on the
-  // small waves this cache budget produces.
-  std::printf("\n==== Pipelined wave execution (single instance, cold cache) ====\n");
-  std::printf("\n%8s %10s %16s %16s %10s %14s\n", "depth", "threads", "batch latency",
-              "throughput", "recall", "overlap");
-  std::printf("%8s %10s %16s %16s %10s %14s\n", "", "", "(us)", "(queries/s)", "@10",
-              "(ms wall)");
+  // ---- Search threads on one instance ----
+  // Routing, cluster decode, sub-searches and the merge of each batch run on
+  // search_threads threads; threads=1 is the inline path.
+  std::printf("\n==== Search threads (single instance, cold cache) ====\n");
+  std::printf("\n%10s %16s %16s %10s\n", "threads", "batch latency", "throughput", "recall");
+  std::printf("%10s %16s %16s %10s\n", "", "(us)", "(queries/s)", "@10");
   constexpr int kReps = 3;
   JsonWriter json;
-  PipelinePoint grid[2][2];  // [depth-1][threads index], threads in {1, 4}
   const size_t kThreads[2] = {1, 4};
-  for (uint32_t depth : {1u, 2u}) {
-    for (size_t ti = 0; ti < 2; ++ti) {
-      PipelinePoint p = MeasurePipeline(engine, ds, config, depth, kThreads[ti], kReps);
-      grid[depth - 1][ti] = p;
-      std::printf("%8u %10zu %16.1f %16.0f %10.4f %14.2f\n", depth, kThreads[ti],
-                  p.latency_us, p.throughput_qps, p.recall, p.overlap_ms);
-      LabelNic(json.Row("pipeline_grid"), engine)
-          .Label("pipeline_depth", std::to_string(depth))
-          .Label("search_threads", std::to_string(kThreads[ti]))
-          .Field("batch_latency_us", p.latency_us)
-          .Field("throughput_qps", p.throughput_qps)
-          .Field("recall_at_10", p.recall)
-          .Field("pipeline_overlap_ms", p.overlap_ms);
-    }
+  ThreadsPoint sweep[2];
+  for (size_t ti = 0; ti < 2; ++ti) {
+    const ThreadsPoint p = MeasureThreads(engine, ds, config, kThreads[ti], kReps);
+    sweep[ti] = p;
+    std::printf("%10zu %16.1f %16.0f %10.4f\n", kThreads[ti], p.latency_us,
+                p.throughput_qps, p.recall);
+    LabelNic(json.Row("threads_sweep"), engine)
+        .Label("search_threads", std::to_string(kThreads[ti]))
+        .Field("batch_latency_us", p.latency_us)
+        .Field("throughput_qps", p.throughput_qps)
+        .Field("recall_at_10", p.recall);
   }
-  const double pipeline_speedup =
-      grid[1][1].throughput_qps / grid[0][1].throughput_qps;
-  const double thread_speedup = grid[0][1].throughput_qps / grid[0][0].throughput_qps;
+  const double thread_speedup = sweep[1].throughput_qps / sweep[0].throughput_qps;
   const unsigned cores = std::thread::hardware_concurrency();
-  std::printf("\n# pipeline speedup (depth 2 vs 1, threads 4): %.2fx\n", pipeline_speedup);
-  std::printf("# thread speedup   (threads 4 vs 1, depth 1):  %.2fx\n", thread_speedup);
-  if (cores <= 1) {
-    std::printf(
-        "# NOTE: only %u CPU core available. The prefetch worker and the\n"
-        "# search threads timeslice a single core, so wall-clock overlap\n"
-        "# cannot materialize (it shows up as scheduler interleaving overhead\n"
-        "# instead); the overlap column only proves the pipeline is active.\n"
-        "# Run on >= 2 cores to measure the real latency win.\n",
-        cores);
-  }
-  json.Row("pipeline_summary")
-      .Field("pipeline_speedup_d2_vs_d1_t4", pipeline_speedup)
-      .Field("thread_speedup_t4_vs_t1_d1", thread_speedup)
+  std::printf("\n# thread speedup (threads 4 vs 1): %.2fx\n", thread_speedup);
+  json.Row("threads_summary")
+      .Field("thread_speedup_t4_vs_t1", thread_speedup)
       .Field("hardware_threads", static_cast<double>(cores));
   if (!json_path.empty() && !json.WriteFile(json_path)) return 1;
   return 0;

@@ -37,8 +37,6 @@ struct ComputeInstruments {
   telemetry::Counter* failovers;
   telemetry::Counter* replica_insert_acks;
   telemetry::Counter* replica_faa_acks;
-  telemetry::Counter* prefetch_waves;
-  telemetry::Counter* pipeline_overlap_ns;
   telemetry::Counter* rerank_candidates;
   telemetry::Counter* rerank_reads;
   telemetry::Counter* rerank_bytes;
@@ -69,8 +67,6 @@ const ComputeInstruments& Compute() {
         r.GetCounter("dhnsw_compute_failovers_total"),
         r.GetCounter("dhnsw_replication_insert_acks_total"),
         r.GetCounter("dhnsw_replication_faa_acks_total"),
-        r.GetCounter("dhnsw_compute_prefetch_waves_total"),
-        r.GetCounter("dhnsw_compute_pipeline_overlap_ns_total"),
         r.GetCounter("dhnsw_compute_rerank_candidates_total"),
         r.GetCounter("dhnsw_compute_rerank_reads_total"),
         r.GetCounter("dhnsw_compute_rerank_bytes_total"),
@@ -118,7 +114,6 @@ BatchBreakdown& BatchBreakdown::operator+=(const BatchBreakdown& rhs) noexcept {
   failed_loads += rhs.failed_loads;
   backoff_ns += rhs.backoff_ns;
   failovers += rhs.failovers;
-  pipeline_overlap_ns += rhs.pipeline_overlap_ns;
   rerank_candidates += rhs.rerank_candidates;
   rerank_reads += rhs.rerank_reads;
   rerank_bytes += rhs.rerank_bytes;
@@ -389,16 +384,8 @@ void ComputeNode::LoadedCluster::SearchPq(std::span<const float> q, size_t k,
 }
 
 Result<ComputeNode::LoadedClusterPtr> ComputeNode::DecodeLoaded(
-    uint32_t cluster, std::span<const uint8_t> bytes, uint64_t used_bytes,
-    double* deserialize_us, bool traced) {
+    uint32_t cluster, std::span<const uint8_t> bytes, uint64_t used_bytes) const {
   const ClusterMeta& meta = table_[cluster];
-  WallTimer timer;
-  std::optional<telemetry::TraceScope> decode_scope;
-  if (traced) {
-    decode_scope.emplace(trace_ctx_, "cluster.decode");
-    decode_scope->set_args(cluster, bytes.size());
-  }
-
   const bool pq_mode = options_.payload != PayloadMode::kRaw;
 
   // Raw mode reads one contiguous range; overflow records precede the blob
@@ -456,7 +443,6 @@ Result<ComputeNode::LoadedClusterPtr> ComputeNode::DecodeLoaded(
   loaded->overflow = std::move(live);
   loaded->tombstones = std::move(tombstones);
   loaded->used_bytes_at_load = used_bytes;
-  *deserialize_us += timer.elapsed_us();
   return LoadedClusterPtr(std::move(loaded));
 }
 
@@ -466,7 +452,7 @@ uint32_t ComputeNode::DoorbellWindow() const noexcept {
 }
 
 std::vector<ComputeNode::PendingLoad> ComputeNode::PostRoundReads(
-    std::vector<uint32_t>* remaining, const std::function<void()>& ring) {
+    std::vector<uint32_t>* remaining) {
   // Stage buffers and post READs; ring per cluster (kNoDoorbell) or per
   // doorbell chunk (kFull). A doorbell ring is a per-destination-QP batch,
   // so loads are grouped by owning memory instance (node_slot) before
@@ -484,7 +470,7 @@ std::vector<ComputeNode::PendingLoad> ComputeNode::PostRoundReads(
   for (uint32_t cluster : *remaining) {
     const ClusterMeta& meta = table_[cluster];
     if (in_ring > 0 && meta.node_slot != ring_slot) {
-      ring();  // destination changed: close the previous batch
+      qp_.RingDoorbell();  // destination changed: close the previous batch
       in_ring = 0;
     }
     ring_slot = meta.node_slot;
@@ -503,7 +489,7 @@ std::vector<ComputeNode::PendingLoad> ComputeNode::PostRoundReads(
         qp_.PostRead(route.rkey, meta.overflow_base - used, buf.first(used + head),
                      cluster, route.epoch);
         if (++in_ring == doorbell) {
-          ring();
+          qp_.RingDoorbell();
           in_ring = 0;
         }
       } else {
@@ -511,14 +497,14 @@ std::vector<ComputeNode::PendingLoad> ComputeNode::PostRoundReads(
           qp_.PostRead(route.rkey, meta.overflow_base, buf.first(used), cluster,
                        route.epoch);
           if (++in_ring == doorbell) {
-            ring();
+            qp_.RingDoorbell();
             in_ring = 0;
           }
         }
         qp_.PostRead(route.rkey, meta.blob_offset, buf.subspan(used, head), cluster,
                      route.epoch);
         if (++in_ring == doorbell) {
-          ring();
+          qp_.RingDoorbell();
           in_ring = 0;
         }
       }
@@ -530,11 +516,11 @@ std::vector<ComputeNode::PendingLoad> ComputeNode::PostRoundReads(
     qp_.PostRead(route.rkey, range.offset, pending.back().buffer.span(), cluster,
                  route.epoch);
     if (++in_ring == doorbell) {
-      ring();
+      qp_.RingDoorbell();
       in_ring = 0;
     }
   }
-  if (in_ring > 0) ring();
+  if (in_ring > 0) qp_.RingDoorbell();
   return pending;
 }
 
@@ -563,10 +549,18 @@ void ComputeNode::RecordLoadError(LoadRoundState* state, uint32_t cluster, Statu
   state->last_error.emplace_back(cluster, std::move(st));
 }
 
+namespace {
+bool HasReadError(const std::vector<std::pair<uint32_t, Status>>& read_errors,
+                  uint32_t cluster) {
+  return std::any_of(read_errors.begin(), read_errors.end(),
+                     [cluster](const auto& e) { return e.first == cluster; });
+}
+}  // namespace
+
 void ComputeNode::ProcessLoadRound(
     std::vector<PendingLoad>& pending,
     const std::vector<std::pair<uint32_t, Status>>& read_errors,
-    std::vector<Result<LoadedClusterPtr>>* predecoded, LoadRoundState* state,
+    std::vector<Result<LoadedClusterPtr>>& decoded, LoadRoundState* state,
     std::vector<std::pair<uint32_t, LoadedClusterPtr>>* out, BatchBreakdown* breakdown,
     std::vector<uint32_t>* next_round) {
   auto fail_one = [&](uint32_t cluster, Status st) {
@@ -583,24 +577,18 @@ void ComputeNode::ProcessLoadRound(
       fail_one(load.cluster, err->second);
       continue;
     }
-    Result<LoadedClusterPtr> loaded =
-        predecoded != nullptr
-            ? std::move((*predecoded)[i])
-            : DecodeLoaded(load.cluster, load.buffer.span(), load.used_bytes,
-                           &breakdown->deserialize_us);
+    Result<LoadedClusterPtr> loaded = std::move(decoded[i]);
     if (!loaded.ok()) {
       // A CRC/format mismatch on freshly read bytes is wire damage; a
       // re-read fetches a clean copy. The damaged copy is NEVER cached.
       fail_one(load.cluster, loaded.status());
       continue;
     }
-    if (predecoded != nullptr) {
-      // The real decode ran on the prefetch worker (untraced — the buffer is
-      // single-writer); this marker keeps per-cluster decode visibility in
-      // the deterministic trace stream.
-      trace_ctx_.Event("cluster.decode", telemetry::TraceEvent::kNoQuery, load.cluster,
-                       load.buffer.size());
-    }
+    // The decode may have run on any search thread, and the trace buffer is
+    // single-writer: this marker keeps per-cluster decode visibility in the
+    // deterministic trace stream.
+    trace_ctx_.Event("cluster.decode", telemetry::TraceEvent::kNoQuery, load.cluster,
+                     load.buffer.size());
     breakdown->clusters_loaded += 1;
     breakdown->bytes_read += load.buffer.size();
     if (options_.mode != EngineMode::kNaive) {
@@ -610,38 +598,46 @@ void ComputeNode::ProcessLoadRound(
   }
 }
 
-bool ComputeNode::AdvanceLoadRound(LoadRoundState* state,
-                                   const std::vector<uint32_t>& next_round,
-                                   BatchBreakdown* breakdown) {
-  uint64_t backoff = 0;
-  if (!state->budget.AllowRetry(++state->round_failures, &backoff)) return false;
-  breakdown->retries += next_round.size();
-  breakdown->backoff_ns += backoff;
-  trace_ctx_.Event("load.retry", telemetry::TraceEvent::kNoQuery, next_round.size(),
-                   backoff);
-  return true;
-}
-
 void ComputeNode::RunLoadRounds(LoadRoundState* state,
                                 std::vector<std::pair<uint32_t, LoadedClusterPtr>>* out,
-                                BatchBreakdown* breakdown) {
+                                BatchBreakdown* breakdown, bool inline_decode) {
   qp_.set_max_doorbell_wrs(DoorbellWindow());
   // One round loads `remaining` and reports per-cluster outcomes; transient
   // failures (unreachable, timeout, CRC-detected corruption) go back into
   // `remaining` with FRESH buffers and are retried under the retry budget.
   while (!state->remaining.empty()) {
-    std::vector<PendingLoad> pending =
-        PostRoundReads(&state->remaining, [this] { qp_.RingDoorbell(); });
+    std::vector<PendingLoad> pending = PostRoundReads(&state->remaining);
     const std::vector<std::pair<uint32_t, Status>> read_errors = DrainReadErrors();
     // Unreachable/fenced loads are also failure-detector observations; once
     // enough rounds strike out, the slot fails over and the next round's
     // RouteFor resolves to the promoted replica at the bumped epoch.
     ReportLoadFailures(read_errors, breakdown);
 
+    // Decode every READ that landed on the batch's threads, one cluster per
+    // chunk. A cluster may span several WRs (the PQ prefix + overflow pair),
+    // so it decodes only when none of them failed.
+    WallTimer decode_timer;
+    std::vector<Result<LoadedClusterPtr>> decoded(
+        pending.size(), Status::Internal("cluster READ failed; not decoded"));
+    RunChunked(pending.size(), inline_decode ? pending.size() : 1,
+               [&](size_t first, size_t last, bool) {
+                 for (size_t i = first; i < last; ++i) {
+                   const PendingLoad& load = pending[i];
+                   if (HasReadError(read_errors, load.cluster)) continue;
+                   decoded[i] = DecodeLoaded(load.cluster, load.buffer.span(), load.used_bytes);
+                 }
+               });
+    breakdown->deserialize_us += decode_timer.elapsed_us();
+
     std::vector<uint32_t> next_round;
-    ProcessLoadRound(pending, read_errors, nullptr, state, out, breakdown, &next_round);
+    ProcessLoadRound(pending, read_errors, decoded, state, out, breakdown, &next_round);
     if (next_round.empty()) break;
-    if (!AdvanceLoadRound(state, next_round, breakdown)) break;
+    uint64_t backoff = 0;
+    if (!state->budget.AllowRetry(++state->round_failures, &backoff)) break;
+    breakdown->retries += next_round.size();
+    breakdown->backoff_ns += backoff;
+    trace_ctx_.Event("load.retry", telemetry::TraceEvent::kNoQuery, next_round.size(),
+                     backoff);
     state->remaining = std::move(next_round);
   }
 }
@@ -663,15 +659,15 @@ Status ComputeNode::FinalizeLoads(
 
 Status ComputeNode::LoadClusters(std::span<const uint32_t> ids,
                                  std::vector<std::pair<uint32_t, LoadedClusterPtr>>* out,
-                                 BatchBreakdown* breakdown,
-                                 std::vector<FailedLoad>* failed) {
+                                 BatchBreakdown* breakdown, std::vector<FailedLoad>* failed,
+                                 bool inline_decode) {
   if (ids.empty()) return Status::Ok();
   for (uint32_t cluster : ids) {
     if (cluster >= table_.size()) return Status::InvalidArgument("LoadClusters: bad id");
   }
   LoadRoundState state(options_.retry, &clock_, real_backoff_);
   state.remaining.assign(ids.begin(), ids.end());
-  RunLoadRounds(&state, out, breakdown);
+  RunLoadRounds(&state, out, breakdown, inline_decode);
   return FinalizeLoads(&state, *out, breakdown, failed);
 }
 
@@ -700,15 +696,10 @@ void ComputeNode::RunChunked(size_t n, size_t grain,
   });
 }
 
-ThreadPool* ComputeNode::PrefetchPool() {
-  if (prefetch_pool_ == nullptr) prefetch_pool_ = std::make_unique<ThreadPool>(1);
-  return prefetch_pool_.get();
-}
-
-std::unique_ptr<ComputeNode::WaveLoadState> ComputeNode::IssueWaveLoads(
-    const LoadWave& wave, const std::vector<uint8_t>* load_wanted, bool pipelined,
-    BatchBreakdown* breakdown) {
-  auto state = std::make_unique<WaveLoadState>();
+std::vector<uint32_t> ComputeNode::WaveMisses(const LoadWave& wave,
+                                              const std::vector<uint8_t>* load_wanted,
+                                              BatchBreakdown* breakdown) {
+  std::vector<uint32_t> misses;
   uint64_t resident_skips = 0;
   for (uint32_t cluster : wave.to_load) {
     if (load_wanted != nullptr && !(*load_wanted)[cluster]) {
@@ -716,111 +707,15 @@ std::unique_ptr<ComputeNode::WaveLoadState> ComputeNode::IssueWaveLoads(
       continue;
     }
     if (!cache_.Contains(cluster)) {
-      state->to_load.push_back(cluster);
+      misses.push_back(cluster);
       trace_ctx_.Event("cache.miss", telemetry::TraceEvent::kNoQuery, cluster);
     } else {
       ++resident_skips;  // became resident since the plan (counts as a hit)
     }
   }
-  Compute().cache_miss_clusters->Add(state->to_load.size());
+  Compute().cache_miss_clusters->Add(misses.size());
   Compute().cache_hit_clusters->Add(resident_skips);
-  if (!pipelined || state->to_load.empty()) return state;
-
-  // Pipelined path: post this wave's READs NOW and hand them to the prefetch
-  // worker; they drain (data movement + fault evaluation + decode) while the
-  // previous wave's sub-searches run. All sim-clock/stats accounting is
-  // deferred to the reap, so the fabric-visible op sequence — and with it
-  // every fault decision, retry, and simulated timestamp — is identical to
-  // the blocking path. The span is sim-instantaneous (posting advances no
-  // simulated time), keeping the exact stage/batch sim coverage invariant.
-  telemetry::TraceScope prefetch_scope(trace_ctx_, "stage.prefetch");
-  state->async = true;
-  qp_.set_max_doorbell_wrs(DoorbellWindow());
-  state->pending = PostRoundReads(&state->to_load, [this] { qp_.StageAsyncRing(); });
-  state->batch = qp_.TakeAsyncBatch();
-  prefetch_scope.set_args(state->to_load.size(),
-                          state->batch != nullptr ? state->batch->num_wrs() : 0);
-  state->decoded.reserve(state->pending.size());
-  for (size_t i = 0; i < state->pending.size(); ++i) {
-    state->decoded.emplace_back(Status::Internal("prefetch: read failed before decode"));
-  }
-  Compute().prefetch_waves->Add(1);
-
-  WaveLoadState* raw = state.get();
-  state->done = PrefetchPool()->Submit([this, raw] {
-    WallTimer worker_timer;
-    qp_.ExecuteAsyncBatch(raw->batch.get());
-    const std::span<const rdma::Completion> comps = raw->batch->completions();
-    for (size_t i = 0; i < raw->pending.size(); ++i) {
-      // Each WR carries its cluster id; a cluster may span several WRs (the
-      // PQ prefix + overflow pair), so decode only when every one succeeded.
-      const uint32_t cluster = raw->pending[i].cluster;
-      bool all_ok = true;
-      for (const rdma::Completion& c : comps) {
-        if (static_cast<uint32_t>(c.wr_id) == cluster &&
-            c.status != rdma::WcStatus::kSuccess) {
-          all_ok = false;
-          break;
-        }
-      }
-      if (!all_ok) continue;
-      raw->decoded[i] = DecodeLoaded(cluster, raw->pending[i].buffer.span(),
-                                     raw->pending[i].used_bytes, &raw->deserialize_us,
-                                     /*traced=*/false);
-    }
-    raw->worker_busy_ns = worker_timer.elapsed_ns();
-  });
-  return state;
-}
-
-Status ComputeNode::ReapWaveLoads(WaveLoadState* wave_load,
-                                  std::vector<std::pair<uint32_t, LoadedClusterPtr>>* out,
-                                  BatchBreakdown* breakdown,
-                                  std::vector<FailedLoad>* failed) {
-  if (!wave_load->async) return LoadClusters(wave_load->to_load, out, breakdown, failed);
-
-  // Join the prefetch worker; whatever of its busy time we did NOT spend
-  // waiting here ran concurrently with the previous wave's sub-searches.
-  WallTimer wait_timer;
-  wave_load->done.get();
-  wave_load->async = false;  // consumed: AbandonPrefetch must not re-join/re-reap
-  const uint64_t wait_ns = wait_timer.elapsed_ns();
-  const uint64_t overlap_ns =
-      wave_load->worker_busy_ns > wait_ns ? wave_load->worker_busy_ns - wait_ns : 0;
-  breakdown->pipeline_overlap_ns += overlap_ns;
-  Compute().pipeline_overlap_ns->Add(overlap_ns);
-
-  // Budget starts before the deferred charge lands, mirroring the blocking
-  // path where RetryBudget is constructed before round 1's network time.
-  LoadRoundState state(options_.retry, &clock_, real_backoff_);
-  qp_.ReapAsyncBatch(wave_load->batch.get());
-  const std::vector<std::pair<uint32_t, Status>> read_errors = DrainReadErrors();
-  ReportLoadFailures(read_errors, breakdown);
-
-  std::vector<uint32_t> next_round;
-  ProcessLoadRound(wave_load->pending, read_errors, &wave_load->decoded, &state, out,
-                   breakdown, &next_round);
-  breakdown->deserialize_us += wave_load->deserialize_us;
-  // Rounds >= 2 (transient faults on prefetched clusters) run blocking, on
-  // the shared retry machinery — backoff, failover reporting, and abandoned-
-  // load semantics are exactly those of the sequential path.
-  if (!next_round.empty() && AdvanceLoadRound(&state, next_round, breakdown)) {
-    state.remaining = std::move(next_round);
-    RunLoadRounds(&state, out, breakdown);
-  }
-  return FinalizeLoads(&state, *out, breakdown, failed);
-}
-
-void ComputeNode::AbandonPrefetch(WaveLoadState* wave_load) {
-  if (wave_load == nullptr || !wave_load->async) return;
-  if (wave_load->done.valid()) wave_load->done.get();
-  // Charge the posted round anyway (those READs did cross the fabric) and
-  // drop its completions: the batch is failing, nothing will consume them,
-  // and the next batch must find an empty CQ.
-  qp_.ReapAsyncBatch(wave_load->batch.get());
-  rdma::Completion c;
-  while (qp_.PollCompletion(&c)) {
-  }
+  return misses;
 }
 
 void ComputeNode::RunRerank(const VectorSet& queries, std::vector<RerankTask>& tasks,
@@ -965,9 +860,9 @@ Status ComputeNode::NaiveSearch(const VectorSet& queries, size_t begin, size_t c
       std::vector<std::pair<uint32_t, LoadedClusterPtr>> loaded;
       std::vector<FailedLoad> failures;
       const uint32_t id[1] = {cluster};
-      DHNSW_RETURN_IF_ERROR(LoadClusters(
-          id, &loaded, &result->breakdown,
-          options_.partial_results ? &failures : nullptr));
+      DHNSW_RETURN_IF_ERROR(LoadClusters(id, &loaded, &result->breakdown,
+                                         options_.partial_results ? &failures : nullptr,
+                                         /*inline_decode=*/true));
       if (!failures.empty()) {
         // Degrade this query only: it keeps candidates from its other
         // clusters; siblings in the batch are unaffected.
@@ -1107,19 +1002,6 @@ Result<BatchResult> ComputeNode::SearchBatch(const VectorSet& queries, size_t be
       return rd > prune * static_cast<double>(heap.worst());
     };
 
-    // Pipelined wave execution: with pipeline_depth >= 2 (and pruning off —
-    // prune masks depend on heap state the previous wave has not produced
-    // yet), each wave's cluster READs are posted before the previous wave's
-    // sub-searches start, and drain + decode on the prefetch worker while
-    // those searches run. Issue/reap keeps all fabric accounting on this
-    // thread in the blocking path's exact order, so results, statuses, the
-    // cache, and the simulated timeline are bit-identical either way.
-    // kPqRerank also falls back to sequential: its owner-thread re-rank
-    // READs would interleave with a prefetched wave's WR sequence, breaking
-    // the deterministic fabric-op order replay and fault tests rely on.
-    const bool pipelined = options_.pipeline_depth >= 2 && prune <= 0.0 &&
-                           options_.payload != PayloadMode::kPqRerank;
-
     // Adaptive pruning: elide a cluster's load entirely when every query
     // that wanted it already has a full top-k that its representative
     // cannot beat (cf. learned early termination [12]).
@@ -1133,37 +1015,19 @@ Result<BatchResult> ComputeNode::SearchBatch(const VectorSet& queries, size_t be
       return &load_wanted;
     };
 
-    std::unique_ptr<WaveLoadState> inflight;
-    // A failing batch must not leave a posted-but-unreaped prefetch on the
-    // QP: the next batch would inherit its WRs and completions.
-    struct InflightDrain {
-      ComputeNode* node;
-      std::unique_ptr<WaveLoadState>* inflight;
-      ~InflightDrain() {
-        if (*inflight != nullptr) node->AbandonPrefetch(inflight->get());
-      }
-    } drain_guard{this, &inflight};
+    for (const LoadWave& wave : plan.waves) {
+      const std::vector<uint32_t> misses = WaveMisses(wave, wanted_for(wave), &result.breakdown);
 
-    for (size_t wv = 0; wv < plan.waves.size(); ++wv) {
-      const LoadWave& wave = plan.waves[wv];
-      if (inflight == nullptr) {
-        inflight = IssueWaveLoads(wave, wanted_for(wave), pipelined, &result.breakdown);
-      }
-
-      // Resident set for this wave: cache hits or fresh loads.
+      // Resident set for this wave: cache hits or fresh loads. A single-query
+      // batch decodes inline: like its routing and merge, it wakes no pool.
       std::vector<std::pair<uint32_t, LoadedClusterPtr>> fresh;
       std::vector<FailedLoad> failures;
       {
         telemetry::TraceScope load_scope(trace_ctx_, "stage.load");
-        load_scope.set_args(inflight->to_load.size(), wave.work.size());
-        DHNSW_RETURN_IF_ERROR(ReapWaveLoads(inflight.get(), &fresh, &result.breakdown,
-                                            options_.partial_results ? &failures : nullptr));
-      }
-      inflight.reset();
-      // One wave ahead (double-buffered): the next wave's misses post now and
-      // drain on the prefetch worker while this wave's sub-searches run.
-      if (pipelined && wv + 1 < plan.waves.size()) {
-        inflight = IssueWaveLoads(plan.waves[wv + 1], nullptr, true, &result.breakdown);
+        load_scope.set_args(misses.size(), wave.work.size());
+        DHNSW_RETURN_IF_ERROR(LoadClusters(misses, &fresh, &result.breakdown,
+                                           options_.partial_results ? &failures : nullptr,
+                                           /*inline_decode=*/count == 1));
       }
       // Graceful degradation: a permanently failed cluster poisons only the
       // queries routed to it — they keep candidates from their other

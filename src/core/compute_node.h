@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <future>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -66,23 +65,11 @@ struct ComputeOptions {
   uint32_t cache_capacity = 8;      ///< c: clusters the DRAM cache holds
   uint32_t doorbell_batch = 16;     ///< D: max READ WRs coalesced per ring
   uint32_t ef_meta = 32;            ///< ef for meta-HNSW routing
-  /// Intra-instance search parallelism: meta routing, sub-searches and the
-  /// final merge of a batch run on this many threads (DESIGN.md §10). 0 means
-  /// one per hardware thread. Results are identical for every value.
+  /// Intra-instance search parallelism: meta routing, cluster decode,
+  /// sub-searches and the final merge of a batch run on this many threads
+  /// (DESIGN.md §10). 0 means one per hardware thread. Results are identical
+  /// for every value.
   size_t search_threads = 0;
-  /// Pipelined wave execution (DESIGN.md §10): 0/1 runs waves sequentially
-  /// (load wave N, then search it — the seed behaviour); >= 2 double-buffers
-  /// the executor — while wave N's sub-searches run, wave N+1's deduped
-  /// cluster READs are already posted and draining on the async QP path, and
-  /// are reaped when wave N finishes. The implementation keeps exactly one
-  /// wave in flight ahead (deeper depths are clamped to that). Results,
-  /// per-query statuses, cache contents, retry/fencing semantics, and the
-  /// simulated timeline are bit-identical to the sequential path
-  /// (tests/test_pipeline.cpp); only wall-clock time changes. Falls back to
-  /// sequential when adaptive_prune_factor > 0 (prune decisions depend on the
-  /// previous wave's heaps, so the next load set is not known in advance) and
-  /// in kNaive mode (no wave structure to overlap).
-  uint32_t pipeline_depth = 2;
   /// When true, overflow vectors are inserted into the decoded sub-HNSW at
   /// load time (CPU cost once per load) instead of being linearly scanned on
   /// every query against that cluster. Worth it once overflow grows. Ignored
@@ -91,9 +78,7 @@ struct ComputeOptions {
   bool link_overflow_on_load = false;
   /// Compressed cluster payloads (DESIGN.md "PQ payloads"). Non-raw modes
   /// require a deployment built with PqConfig.enabled — Connect() fails
-  /// otherwise — and a non-cosine metric. kPqRerank additionally disables
-  /// pipelined waves: its owner-thread raw-vector READs interleave with the
-  /// wave sequence, which must stay deterministic for replay/fault purity.
+  /// otherwise — and a non-cosine metric.
   PayloadMode payload = PayloadMode::kRaw;
   /// R: ADC survivors per (query, cluster) re-ranked exactly (kPqRerank).
   /// The effective depth is max(k, rerank_depth).
@@ -134,7 +119,7 @@ struct BatchBreakdown {
   double network_us = 0.0;      ///< simulated fabric time
   double meta_us = 0.0;         ///< meta-HNSW (cache) computation, wall time
   double sub_us = 0.0;          ///< sub-HNSW search on loaded data, wall time
-  double deserialize_us = 0.0;  ///< blob decode, wall time
+  double deserialize_us = 0.0;  ///< blob decode passes, wall time
   uint64_t round_trips = 0;
   uint64_t bytes_read = 0;
   uint64_t clusters_loaded = 0;
@@ -145,11 +130,6 @@ struct BatchBreakdown {
   uint64_t failed_loads = 0;     ///< cluster loads abandoned after retries
   uint64_t backoff_ns = 0;       ///< simulated ns spent backing off
   uint64_t failovers = 0;        ///< replica failovers this batch triggered
-  /// Wall ns of prefetch work (wave N+1 READ draining + decode) that ran
-  /// concurrently with wave N's sub-searches instead of stalling the batch —
-  /// the observable win of pipeline_depth >= 2. Wall-clock derived: it never
-  /// feeds spans or the simulated timeline, which stay deterministic.
-  uint64_t pipeline_overlap_ns = 0;
   uint64_t rerank_candidates = 0;  ///< ADC survivors submitted for re-rank
   uint64_t rerank_reads = 0;       ///< raw-vector READs posted (incl. retries)
   uint64_t rerank_bytes = 0;       ///< bytes those READs moved
@@ -315,22 +295,19 @@ class ComputeNode {
   void SearchLoaded(const LoadedCluster& cluster, std::span<const float> q, size_t k,
                     uint32_t ef, std::vector<Scored>* rerank_cands, TopKHeap* heap) const;
 
-  /// Reads one cluster (blob + used overflow) into a fresh buffer and posts
-  /// nothing — the caller controls doorbell grouping via `qp_.PostRead`.
-  /// `used_bytes` snapshots the cluster's overflow counter at post time so a
-  /// prefetch worker can decode without touching the (owner-thread) table.
+  /// One posted cluster READ: the buffer it lands in and the cluster's
+  /// overflow counter snapshotted at post time, which fixes how many overflow
+  /// bytes the decode reads.
   struct PendingLoad {
     uint32_t cluster;
     AlignedBuffer buffer;
     uint64_t used_bytes = 0;
   };
 
-  /// `traced` = false suppresses the "cluster.decode" span: the prefetch
-  /// worker decodes off-thread and the trace buffer is single-writer; the
-  /// reap emits the deterministic marker event instead.
+  /// Decodes one landed READ. Safe on any search thread: it reads only state
+  /// that a batch never mutates, and records no trace.
   Result<LoadedClusterPtr> DecodeLoaded(uint32_t cluster, std::span<const uint8_t> bytes,
-                                        uint64_t used_bytes, double* deserialize_us,
-                                        bool traced = true);
+                                        uint64_t used_bytes) const;
 
   /// A cluster load abandoned after exhausting the retry budget.
   struct FailedLoad {
@@ -344,17 +321,14 @@ class ComputeNode {
   /// Transient failures (unreachable / timeout / CRC mismatch) are retried
   /// per options_.retry with backoff charged to the clock. Loads that still
   /// fail are reported in `failed` when non-null (graceful degradation) or
-  /// fail the call with the first error when `failed` is null.
+  /// fail the call with the first error when `failed` is null. Each round's
+  /// READs decode on the search threads unless `inline_decode` is set.
   Status LoadClusters(std::span<const uint32_t> ids,
                       std::vector<std::pair<uint32_t, LoadedClusterPtr>>* out,
-                      BatchBreakdown* breakdown,
-                      std::vector<FailedLoad>* failed = nullptr);
+                      BatchBreakdown* breakdown, std::vector<FailedLoad>* failed,
+                      bool inline_decode);
 
-  /// Mutable state of one LoadClusters retry sequence. Shared between the
-  /// blocking path (RunLoadRounds drives every round) and the pipelined reap,
-  /// which consumes the prefetched round itself and hands rounds >= 2 to the
-  /// same machinery — so retry counting, backoff, failover reporting, and
-  /// final error attribution are one code path regardless of executor.
+  /// Mutable state of one LoadClusters retry sequence.
   struct LoadRoundState {
     LoadRoundState(const RetryPolicy& policy, SimClock* clock, bool real_sleep = false)
         : budget(policy, clock, real_sleep) {}
@@ -365,82 +339,48 @@ class ComputeNode {
     std::vector<std::pair<uint32_t, Status>> last_error;
   };
 
-  /// One wave's cluster loads: the post-cache-check miss list, plus — on the
-  /// pipelined path — the posted async batch and the prefetch worker's
-  /// outputs. Heap-allocated so the worker can hold a stable pointer.
-  struct WaveLoadState {
-    std::vector<uint32_t> to_load;  ///< cache misses, sorted by node slot once posted
-    bool async = false;
-    // --- pipelined prefetch only ---
-    std::vector<PendingLoad> pending;             ///< posted order
-    std::unique_ptr<rdma::AsyncBatch> batch;
-    std::vector<Result<LoadedClusterPtr>> decoded;  ///< aligned with pending
-    double deserialize_us = 0.0;
-    uint64_t worker_busy_ns = 0;  ///< wall ns the worker spent (execute + decode)
-    std::future<void> done;
-  };
-
   /// kFull coalesces `doorbell_batch` READs per ring; other modes ring singly.
   uint32_t DoorbellWindow() const noexcept;
   /// Sorts `remaining` by owning node slot, stages buffers, posts the READs,
-  /// and invokes `ring` exactly where the doorbell closes (destination change
-  /// / window full / end) — RingDoorbell on the blocking path, StageAsyncRing
-  /// on the async one, so both produce the same WR/ring sequence.
-  std::vector<PendingLoad> PostRoundReads(std::vector<uint32_t>* remaining,
-                                          const std::function<void()>& ring);
+  /// and rings the doorbell exactly where it closes (destination change /
+  /// window full / end).
+  std::vector<PendingLoad> PostRoundReads(std::vector<uint32_t>* remaining);
   /// Drains the CQ, returning (cluster, status) for every failed READ.
   std::vector<std::pair<uint32_t, Status>> DrainReadErrors();
   void RecordLoadError(LoadRoundState* state, uint32_t cluster, Status st);
-  /// Decodes/installs one executed round. `predecoded` non-null supplies the
-  /// prefetch worker's decode results (aligned with `pending`); null decodes
-  /// inline. Retryable failures land in `next_round`.
+  /// Installs one decoded round on the owner thread in posted order: cache
+  /// Put, counters and a "cluster.decode" marker per loaded cluster.
+  /// `decoded` is aligned with `pending`; retryable failures land in
+  /// `next_round`.
   void ProcessLoadRound(std::vector<PendingLoad>& pending,
                         const std::vector<std::pair<uint32_t, Status>>& read_errors,
-                        std::vector<Result<LoadedClusterPtr>>* predecoded,
-                        LoadRoundState* state,
+                        std::vector<Result<LoadedClusterPtr>>& decoded, LoadRoundState* state,
                         std::vector<std::pair<uint32_t, LoadedClusterPtr>>* out,
                         BatchBreakdown* breakdown, std::vector<uint32_t>* next_round);
-  /// Retry gate after a failed round: consumes budget, charges backoff, and
-  /// records the accounting/trace event. False = give up (errors stand).
-  bool AdvanceLoadRound(LoadRoundState* state, const std::vector<uint32_t>& next_round,
-                        BatchBreakdown* breakdown);
-  /// Runs post/ring/drain/process rounds until `state->remaining` is empty or
-  /// the retry budget refuses.
+  /// Runs post/ring/drain/decode/process rounds until `state->remaining` is
+  /// empty or the retry budget refuses.
   void RunLoadRounds(LoadRoundState* state,
                      std::vector<std::pair<uint32_t, LoadedClusterPtr>>* out,
-                     BatchBreakdown* breakdown);
+                     BatchBreakdown* breakdown, bool inline_decode);
   /// Final error attribution: abandoned clusters either fail the call (strict
   /// mode, `failed` null) or are reported for per-query degradation.
   Status FinalizeLoads(LoadRoundState* state,
                        const std::vector<std::pair<uint32_t, LoadedClusterPtr>>& out,
                        BatchBreakdown* breakdown, std::vector<FailedLoad>* failed);
 
-  /// Computes a wave's miss list (cache checks + hit/miss accounting) and, on
-  /// the pipelined path, posts its READs and hands the batch to the prefetch
-  /// worker under a "stage.prefetch" span. `load_wanted` (nullable) is the
-  /// adaptive-prune elision mask — sequential executor only.
-  std::unique_ptr<WaveLoadState> IssueWaveLoads(const LoadWave& wave,
-                                                const std::vector<uint8_t>* load_wanted,
-                                                bool pipelined, BatchBreakdown* breakdown);
-  /// Blocks until the wave's loads are resident (or abandoned): joins the
-  /// prefetch worker and performs the deferred sim/stats accounting, or runs
-  /// the whole blocking load when the wave was not issued asynchronously.
-  /// Retry rounds after a prefetched round run synchronously right here, so
-  /// recovery semantics match the blocking path exactly.
-  Status ReapWaveLoads(WaveLoadState* wave_load,
-                       std::vector<std::pair<uint32_t, LoadedClusterPtr>>* out,
-                       BatchBreakdown* breakdown, std::vector<FailedLoad>* failed);
-  /// Early-exit cleanup: joins + reaps an in-flight prefetch whose results
-  /// will never be consumed, keeping the QP/CQ consistent for the next batch.
-  void AbandonPrefetch(WaveLoadState* wave_load);
+  /// A wave's miss list: the clusters it loads that are not resident, with
+  /// hit/miss accounting. `load_wanted` (nullable) is the adaptive-prune
+  /// elision mask.
+  std::vector<uint32_t> WaveMisses(const LoadWave& wave,
+                                   const std::vector<uint8_t>* load_wanted,
+                                   BatchBreakdown* breakdown);
 
-  /// Persistent worker pools (lazily built; the search pool holds resolved -
-  /// 1 workers, the batch's own thread being the last searcher, and is
-  /// rebuilt when that count changes). Constructing a ThreadPool per
-  /// wave cost ~50-100us of thread spawn/join per wave — a latency cliff on
-  /// small waves; these amortize it to once per node.
+  /// The persistent search pool (lazily built; it holds resolved - 1
+  /// workers, the batch's own thread being the last searcher, and is rebuilt
+  /// when that count changes). Constructing a ThreadPool per wave cost
+  /// ~50-100us of thread spawn/join per wave — a latency cliff on small
+  /// waves; this amortizes it to once per node.
   ThreadPool* SearchPool();
-  ThreadPool* PrefetchPool();
 
   /// The one executor of a batch's parallel stages: runs fn(first, last,
   /// on_owner) over [0, n) in chunks of at most `grain`. One chunk, or one
@@ -575,7 +515,6 @@ class ComputeNode {
   std::vector<const LoadedCluster*> wave_resident_;
   std::vector<uint8_t> wave_probed_;  ///< clusters already looked up this wave
   std::unique_ptr<ThreadPool> search_pool_;
-  std::unique_ptr<ThreadPool> prefetch_pool_;  ///< 1 thread: drains + decodes prefetches
 
   telemetry::TraceBuffer trace_buffer_;
   /// Stamps spans with clock_; qp_ holds a pointer to it, so the batch id set

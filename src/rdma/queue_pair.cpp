@@ -1,7 +1,6 @@
 #include "rdma/queue_pair.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cstring>
 
 #include "telemetry/metrics.h"
@@ -119,15 +118,6 @@ void QueuePair::PostFetchAdd(RKey rkey, uint64_t remote_offset, uint64_t add, ui
       .expected_epoch = expected_epoch});
 }
 
-uint64_t QueuePair::ExecuteRing(std::span<const WorkRequest> wrs,
-                                std::span<Completion> completions,
-                                uint64_t* injected_faults) {
-  // Sim consumes the injector per-WR in ExecuteWr; on real backends the
-  // ChaosChannel decorator consumes it before WRs reach the wire.
-  const RingFaultContext faults{injector_.get(), injected_faults};
-  return channel_->ExecuteRing(wrs, completions, faults);
-}
-
 void QueuePair::AccountRing(std::span<const WorkRequest> wrs,
                             std::span<const Completion> completions, uint64_t charge_ns) {
   const uint64_t ring_sim_start = trace_ != nullptr ? trace_->now_ns() : 0;
@@ -202,84 +192,20 @@ uint32_t QueuePair::RingDoorbell() {
     const size_t end = std::min(send_queue_.size(),
                                 begin + static_cast<size_t>(max_doorbell_wrs_));
     chunk_completions.resize(end - begin);
-    const uint64_t charge_ns =
-        ExecuteRing({send_queue_.data() + begin, end - begin}, chunk_completions,
-                    &stats_.injected_faults);
-    AccountRing({send_queue_.data() + begin, end - begin}, chunk_completions, charge_ns);
+    const std::span<const WorkRequest> chunk{send_queue_.data() + begin, end - begin};
+    // One transport round trip: data movement and fault evaluation only. Sim
+    // consumes the injector per-WR in ExecuteWr; on real backends the
+    // ChaosChannel decorator consumes it before WRs reach the wire. The
+    // charge is injected latency on sim, measured wall ns on real backends.
+    const uint64_t charge_ns = channel_->ExecuteRing(
+        chunk, chunk_completions, RingFaultContext{injector_.get(), &stats_.injected_faults});
+    AccountRing(chunk, chunk_completions, charge_ns);
     completion_queue_.insert(completion_queue_.end(), chunk_completions.begin(),
                              chunk_completions.end());
     ++rings;
     begin = end;
   }
   send_queue_.clear();
-  MirrorStatsDelta(before);
-  return rings;
-}
-
-void QueuePair::StageAsyncRing() {
-  if (send_queue_.empty()) return;
-  if (async_staging_ == nullptr) async_staging_ = std::make_unique<AsyncBatch>();
-  AsyncBatch& batch = *async_staging_;
-  const size_t begin = batch.wrs_.size();
-  batch.wrs_.insert(batch.wrs_.end(), send_queue_.begin(), send_queue_.end());
-  batch.groups_.push_back(AsyncBatch::RingGroup{begin, batch.wrs_.size()});
-  send_queue_.clear();
-}
-
-std::unique_ptr<AsyncBatch> QueuePair::TakeAsyncBatch() {
-  StageAsyncRing();  // pick up posted-but-unstaged WRs as a final group
-  if (async_staging_ == nullptr) return nullptr;
-  // Arm on the owner thread: the injector's decision stream depends only on
-  // this QP's WR sequence, so evaluating it later from a worker thread keeps
-  // the same deterministic outcomes the sync path would have produced.
-  RefreshInjector();
-  async_staging_->window_ = max_doorbell_wrs_;
-  return std::move(async_staging_);
-}
-
-void QueuePair::ExecuteAsyncBatch(AsyncBatch* batch) {
-  assert(batch != nullptr && !batch->executed_);
-  batch->completions_.resize(batch->wrs_.size());
-  batch->extra_ns_.assign(batch->wrs_.size(), 0);
-  // Execute per doorbell chunk — the same chunking ReapAsyncBatch will use
-  // (window captured at take time) — so each chunk is one transport round
-  // trip, and its raw charge lands at the chunk's first WR index where the
-  // reap-side per-chunk summation recovers it.
-  for (const AsyncBatch::RingGroup& group : batch->groups_) {
-    size_t begin = group.begin;
-    while (begin < group.end) {
-      const size_t end =
-          std::min(group.end, begin + static_cast<size_t>(batch->window_));
-      batch->extra_ns_[begin] =
-          ExecuteRing({batch->wrs_.data() + begin, end - begin},
-                      {batch->completions_.data() + begin, end - begin},
-                      &batch->injected_faults_);
-      begin = end;
-    }
-  }
-  batch->executed_ = true;
-}
-
-uint32_t QueuePair::ReapAsyncBatch(AsyncBatch* batch) {
-  assert(batch != nullptr && batch->executed_);
-  const QpStats before = stats_;
-  uint32_t rings = 0;
-  for (const AsyncBatch::RingGroup& group : batch->groups_) {
-    size_t begin = group.begin;
-    while (begin < group.end) {
-      const size_t end =
-          std::min(group.end, begin + static_cast<size_t>(batch->window_));
-      uint64_t extra_ns = 0;
-      for (size_t i = begin; i < end; ++i) extra_ns += batch->extra_ns_[i];
-      AccountRing({batch->wrs_.data() + begin, end - begin},
-                  {batch->completions_.data() + begin, end - begin}, extra_ns);
-      completion_queue_.insert(completion_queue_.end(), batch->completions_.begin() + begin,
-                               batch->completions_.begin() + end);
-      ++rings;
-      begin = end;
-    }
-  }
-  stats_.injected_faults += batch->injected_faults_;
   MirrorStatsDelta(before);
   return rings;
 }

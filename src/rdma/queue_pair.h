@@ -30,52 +30,6 @@
 
 namespace dhnsw::rdma {
 
-/// A set of doorbell rings on the async issue/poll path (post now, reap
-/// completions later). Lifecycle, all driven by the owning QueuePair:
-///   1. owner thread: post WRs, mark ring boundaries with StageAsyncRing,
-///      then detach the staged groups with TakeAsyncBatch;
-///   2. any thread:   ExecuteAsyncBatch — data movement and fault evaluation
-///      only, in posted order;
-///   3. owner thread: ReapAsyncBatch — all deferred accounting (sim-clock
-///      charges, QpStats, trace spans, metric mirroring) in exactly the
-///      per-chunk order the synchronous RingDoorbell would have used, then
-///      the completions land in the CQ for polling.
-/// The split keeps every non-thread-safe QP resource (SimClock, QpStats,
-/// TraceBuffer, CQ) on the owner thread, so the simulated timeline of an
-/// async batch is bit-identical to ringing the same WRs synchronously.
-class AsyncBatch {
- public:
-  AsyncBatch() = default;
-  AsyncBatch(const AsyncBatch&) = delete;
-  AsyncBatch& operator=(const AsyncBatch&) = delete;
-
-  size_t num_wrs() const noexcept { return wrs_.size(); }
-  bool executed() const noexcept { return executed_; }
-  /// Per-WR completions in posted order; meaningful only after execution.
-  std::span<const Completion> completions() const noexcept { return completions_; }
-
- private:
-  friend class QueuePair;
-  /// One StageAsyncRing call: wrs_[begin, end). The doorbell window captured
-  /// at take time further splits oversized groups at reap, mirroring
-  /// RingDoorbell's chunking.
-  struct RingGroup {
-    size_t begin = 0;
-    size_t end = 0;
-  };
-  std::vector<WorkRequest> wrs_;
-  std::vector<RingGroup> groups_;
-  uint32_t window_ = 1;
-  std::vector<Completion> completions_;  ///< aligned with wrs_
-  /// Raw ring charges (injected latency on sim, measured wall ns on real
-  /// backends), aligned with wrs_: each doorbell chunk's charge is stored at
-  /// the chunk's first WR index, zeros elsewhere, so reap-side per-chunk
-  /// summation recovers exactly one charge per ring.
-  std::vector<uint64_t> extra_ns_;
-  uint64_t injected_faults_ = 0;
-  bool executed_ = false;
-};
-
 class QueuePair {
  public:
   /// `clock` may be null (network time is then simply not recorded).
@@ -105,29 +59,6 @@ class QueuePair {
   /// network round trips this ring consumed (>= 1 if anything was posted;
   /// > 1 when the doorbell window forced a split).
   uint32_t RingDoorbell();
-
-  /// --- async issue/poll path (see AsyncBatch) ---
-  /// Moves everything posted since the last ring/stage into the pending async
-  /// batch as ONE ring group — the async analogue of a RingDoorbell call
-  /// boundary (used e.g. when the destination memory node changes mid-batch).
-  void StageAsyncRing();
-  /// Detaches the staged groups as an executable batch, capturing the current
-  /// doorbell window and arming the fault injector NOW (owner thread), so
-  /// fault decisions remain a pure function of this QP's WR sequence no
-  /// matter which thread executes. Any posted-but-unstaged WRs are staged
-  /// first. Returns nullptr when nothing is staged.
-  std::unique_ptr<AsyncBatch> TakeAsyncBatch();
-  /// Executes the batch's WRs in posted order: fabric data movement and fault
-  /// evaluation ONLY — no clock, stats, trace, or CQ access — so it may run
-  /// on a worker thread while the owner computes, PROVIDED the QP is
-  /// otherwise idle (no posts, rings, one-shots, or reaps) until the matching
-  /// ReapAsyncBatch. The caller supplies the happens-before edges (e.g. a
-  /// future join) around this call.
-  void ExecuteAsyncBatch(AsyncBatch* batch);
-  /// Owner thread, after execution: performs the deferred accounting and
-  /// pushes the batch's completions into the CQ. Returns the number of
-  /// network round trips charged (same count RingDoorbell would return).
-  uint32_t ReapAsyncBatch(AsyncBatch* batch);
 
   /// --- completion queue ---
   bool PollCompletion(Completion* out);
@@ -166,19 +97,9 @@ class QueuePair {
   uint32_t qp_id() const noexcept { return qp_id_; }
 
  private:
-  /// Executes one doorbell chunk through the transport channel: data movement
-  /// and fault evaluation (sim: per-WR in the backend; real: client-side in
-  /// the chaos decorator), no QP accounting. Returns the chunk's
-  /// raw charge — injected latency on sim, measured wall ns on real backends.
-  /// Fault hits are counted into `*injected_faults` (the sync path passes
-  /// &stats_.injected_faults, the async path a batch-local count folded in at
-  /// reap).
-  uint64_t ExecuteRing(std::span<const WorkRequest> wrs, std::span<Completion> completions,
-                       uint64_t* injected_faults);
-  /// Shared reap-side accounting for one doorbell chunk whose WRs already
-  /// executed: QpStats, clock charge (NicModel cost + `charge_ns` on sim,
-  /// `charge_ns` verbatim on real backends), ring histogram, "rdma.ring"
-  /// span, fenced-op counting.
+  /// Accounting for one doorbell chunk whose WRs already executed: QpStats,
+  /// clock charge (NicModel cost + `charge_ns` on sim, `charge_ns` verbatim
+  /// on real backends), ring histogram, "rdma.ring" span, fenced-op counting.
   void AccountRing(std::span<const WorkRequest> wrs, std::span<const Completion> completions,
                    uint64_t charge_ns);
   /// Mirrors the QpStats delta since `before` into the process registry.
@@ -196,7 +117,6 @@ class QueuePair {
   uint32_t max_doorbell_wrs_;
   uint32_t qp_id_;
   std::vector<WorkRequest> send_queue_;
-  std::unique_ptr<AsyncBatch> async_staging_;  ///< groups staged, not yet taken
   std::deque<Completion> completion_queue_;
   QpStats stats_;
   /// Plan the injector below was built from (pointer identity tracks re-arms).

@@ -110,8 +110,7 @@ struct RingFaultContext {
 };
 
 /// One queue pair's connection to the transport's data plane. Not thread-safe:
-/// like the QueuePair that owns it, a channel executes one ring at a time
-/// (the async path hands the whole channel to the worker between take/reap).
+/// like the QueuePair that owns it, a channel executes one ring at a time.
 class TransportChannel {
  public:
   virtual ~TransportChannel() = default;

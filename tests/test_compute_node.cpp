@@ -353,13 +353,12 @@ class ParallelSearchTest : public ::testing::Test {
     ds_ = nullptr;
   }
 
-  static ComputeOptions Options(PayloadMode payload, uint32_t pipeline_depth) {
+  static ComputeOptions Options(PayloadMode payload) {
     ComputeOptions options;
     options.clusters_per_query = 3;
     options.cache_capacity = 4;  // < unique clusters per batch: several waves
     options.doorbell_batch = 4;
     options.payload = payload;
-    options.pipeline_depth = pipeline_depth;
     return options;
   }
 
@@ -449,34 +448,31 @@ DhnswEngine* ParallelSearchTest::engine_ = nullptr;
 
 TEST_F(ParallelSearchTest, PoolMatchesInlineBitForBit) {
   for (PayloadMode payload : {PayloadMode::kRaw, PayloadMode::kPq, PayloadMode::kPqRerank}) {
-    for (uint32_t depth : {1u, 2u}) {
-      const std::string what =
-          std::string(PayloadModeName(payload)) + " depth " + std::to_string(depth);
-      ComputeOptions serial = Options(payload, depth);
-      serial.search_threads = 1;
-      const Observed inline_run = Run(serial);
-      ASSERT_EQ(inline_run.batches.size(), 2u) << what;
-      EXPECT_GT(inline_run.batches[0].breakdown.clusters_loaded, serial.cache_capacity)
-          << what << ": the batch must need several waves";
-      EXPECT_GT(inline_run.query_spans, 0u) << what;
+    const std::string what(PayloadModeName(payload));
+    ComputeOptions serial = Options(payload);
+    serial.search_threads = 1;
+    const Observed inline_run = Run(serial);
+    ASSERT_EQ(inline_run.batches.size(), 2u) << what;
+    EXPECT_GT(inline_run.batches[0].breakdown.clusters_loaded, serial.cache_capacity)
+        << what << ": the batch must need several waves";
+    EXPECT_GT(inline_run.query_spans, 0u) << what;
 
-      // The default (one thread per hardware thread), and an explicit count
-      // so that the pool runs even on a one-core host.
-      for (size_t threads : {size_t{0}, size_t{3}}) {
-        ComputeOptions parallel = Options(payload, depth);
-        parallel.search_threads = threads;
-        const Observed pooled = Run(parallel);
-        ExpectIdentical(inline_run, pooled, what + " threads " + std::to_string(threads));
-        if (threads == 3) {
-          EXPECT_EQ(pooled.query_spans, 0u) << what << ": query.* spans are inline-only";
-        }
+    // The default (one thread per hardware thread), and an explicit count
+    // so that the pool runs even on a one-core host.
+    for (size_t threads : {size_t{0}, size_t{3}}) {
+      ComputeOptions parallel = Options(payload);
+      parallel.search_threads = threads;
+      const Observed pooled = Run(parallel);
+      ExpectIdentical(inline_run, pooled, what + " threads " + std::to_string(threads));
+      if (threads == 3) {
+        EXPECT_EQ(pooled.query_spans, 0u) << what << ": query.* spans are inline-only";
       }
     }
   }
 }
 
 TEST_F(ParallelSearchTest, ZeroThreadsMeansOnePerHardwareThread) {
-  ComputeOptions options = Options(PayloadMode::kRaw, 2);
+  ComputeOptions options = Options(PayloadMode::kRaw);
   EXPECT_EQ(options.search_threads, 0u);
   const size_t hardware = std::max<size_t>(std::thread::hardware_concurrency(), 1);
   EXPECT_EQ(Attach(options)->resolved_search_threads(), hardware);
@@ -485,7 +481,7 @@ TEST_F(ParallelSearchTest, ZeroThreadsMeansOnePerHardwareThread) {
 }
 
 TEST_F(ParallelSearchTest, SingleQueryBatchStartsNoSearchThread) {
-  ComputeOptions options = Options(PayloadMode::kRaw, 2);
+  ComputeOptions options = Options(PayloadMode::kRaw);
   options.search_threads = 3;  // would build a pool for any larger batch
   auto node = Attach(options);
   node->EnableTracing(1 << 12);

@@ -7,7 +7,7 @@
 // the record SET is fixed by the schedule. A fresh cold-cache search after
 // the traffic therefore has a deterministic answer, and that is what gets
 // byte-compared against the single-node sequential oracle — across pool
-// sizes {2,4,8}, search_threads {1,4}, and pipeline_depth {1,2}.
+// sizes {2,4,8} and search_threads {1,4}.
 //
 // Also here: the per-op differential for read-only traffic (searches are
 // pure functions of the query, so even per-op results must match), the
@@ -124,7 +124,7 @@ OracleRun SequentialOracle(const Dataset& ds, const std::vector<WorkloadOp>& ops
 /// Concurrent pool execution of the same schedule on N nodes; returns the
 /// cold quiescence verification search.
 BatchResult PoolQuiescence(const Dataset& ds, const std::vector<WorkloadOp>& ops,
-                           size_t nodes, size_t threads, uint32_t depth,
+                           size_t nodes, size_t threads,
                            PoolRunStats* stats_out = nullptr,
                            std::vector<OpOutcome>* outcomes = nullptr) {
   auto built = DhnswEngine::Build(ds.base, ScaleConfig(nodes));
@@ -132,7 +132,6 @@ BatchResult PoolQuiescence(const Dataset& ds, const std::vector<WorkloadOp>& ops
   DhnswEngine& engine = built.value();
   for (size_t i = 0; i < nodes; ++i) {
     engine.compute(i).mutable_options()->search_threads = threads;
-    engine.compute(i).mutable_options()->pipeline_depth = depth;
   }
 
   PoolRunStats stats;
@@ -150,7 +149,7 @@ BatchResult PoolQuiescence(const Dataset& ds, const std::vector<WorkloadOp>& ops
   return std::move(verify).value();
 }
 
-// The headline invariant: every (N, threads, pipeline_depth) geometry ends
+// The headline invariant: every (N, threads) geometry ends
 // in the same quiescent state as the single-node sequential replay.
 TEST(ScaleoutTest, QuiescenceOracleIdenticalAcrossPoolGeometries) {
   const Dataset ds = ScaleData();
@@ -160,12 +159,9 @@ TEST(ScaleoutTest, QuiescenceOracleIdenticalAcrossPoolGeometries) {
 
   for (size_t nodes : {size_t{2}, size_t{4}, size_t{8}}) {
     for (size_t threads : {size_t{1}, size_t{4}}) {
-      for (uint32_t depth : {1u, 2u}) {
-        const BatchResult got = PoolQuiescence(ds, ops, nodes, threads, depth);
-        EXPECT_TRUE(SameResults(oracle.quiescence, got))
-            << "divergence at N=" << nodes << " threads=" << threads
-            << " depth=" << depth;
-      }
+      const BatchResult got = PoolQuiescence(ds, ops, nodes, threads);
+      EXPECT_TRUE(SameResults(oracle.quiescence, got))
+          << "divergence at N=" << nodes << " threads=" << threads;
     }
   }
 }
@@ -179,8 +175,7 @@ TEST(ScaleoutTest, SearchOnlyPerOpResultsMatchSequential) {
 
   std::vector<OpOutcome> outcomes;
   PoolRunStats stats;
-  (void)PoolQuiescence(ds, ops, /*nodes=*/4, /*threads=*/1, /*depth=*/2, &stats,
-                       &outcomes);
+  (void)PoolQuiescence(ds, ops, /*nodes=*/4, /*threads=*/1, &stats, &outcomes);
   ASSERT_EQ(outcomes.size(), ops.size());
   for (size_t i = 0; i < ops.size(); ++i) {
     ASSERT_TRUE(outcomes[i].status.ok()) << "op " << i;
@@ -428,7 +423,8 @@ TEST(ScaleoutTest, PoolMetricsAccountForEveryOp) {
 
 // Same-seed drain-mode runs export byte-identical wall-free traces across
 // the dispatcher, every pool lane, and every node's sim-stamped spans — the
-// scale-out analogue of the pipeline trace contract, byte-compared by CI.
+// scale-out analogue of the decode-executor trace contract, byte-compared by
+// CI.
 TEST(ScaleoutTest, TraceJsonlByteIdenticalAcrossSameSeedDrainRuns) {
   const Dataset ds = ScaleData();
   const auto ops = ScaleOps(ds, /*read_fraction=*/1.0, /*num_ops=*/64);
